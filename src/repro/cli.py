@@ -411,11 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--score-cache",
-        type=int,
-        default=65536,
-        help="hot-score cache capacity per session/worker — memoized "
-        "(device, arch) predictions, bitwise-transparent for compiled "
-        "serving (0 disables)",
+        action=argparse.BooleanOptionalAction,
+        default=True,
+        help="memoize each hot device's scores in a per-device table, per "
+        "session/worker; bitwise-transparent for f64 compiled serving, "
+        "bypassed by eager and f32 serving (--no-score-cache: off)",
     )
     p.add_argument(
         "--wire",

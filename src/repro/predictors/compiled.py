@@ -146,6 +146,10 @@ class CompiledInference:
         """Drop memoized plans (needed only after *structural* changes)."""
         self.__dict__.pop("_plans", None)
 
+    def compiled_buckets(self) -> list[int]:
+        """Shape buckets holding a memoized inference plan, ascending."""
+        return sorted(self.__dict__.get("_plans", ()))
+
     def compile_training(
         self, loss: str = "hinge", margin: float = 0.1, dtype: str | None = None
     ) -> "CompiledTraining":

@@ -49,12 +49,11 @@ class _MaskCache:
 
     The mask depends on the adjacency *values*, not just its shape, so the
     key is the batch array itself (identity comparison — exact and cheap;
-    the entry pins the array so its ``id`` cannot be recycled).  Serving
-    reuses encoded batches (`PredictorSession._encode_batch` returns the
-    same arrays for repeat queries), and within one forward every GAT layer
-    shares the adjacency tensor, so the mask is built once per distinct
-    batch instead of once per layer per call.  Shared across layers; guarded
-    by a lock for concurrent sessions.
+    the entry pins the array so its ``id`` cannot be recycled).  Within one
+    forward every GAT layer shares the adjacency tensor, and a caller that
+    scores the same encoded batch again passes the same array, so the mask
+    is built once per distinct batch instead of once per layer per call.
+    Shared across layers; guarded by a lock for concurrent sessions.
     """
 
     def __init__(self, capacity: int = 4):

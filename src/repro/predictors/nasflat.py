@@ -25,6 +25,7 @@ import numpy as np
 from repro.nnlib import MLP, Embedding, Module, Tensor, concat, no_grad
 from repro.predictors.compiled import CompiledInference
 from repro.predictors.gnn import GNNStack
+from repro.predictors.space_tensors import SpaceTensors
 from repro.spaces.base import SearchSpace
 
 # Hyperparameters from paper Table 20 (found via their Optuna search).
@@ -365,11 +366,10 @@ class NASFLATPredictor(CompiledInference, Module):
         )
         return self
 
-    def _predict_indices(
-        self, device: str, indices, batch_size: int = 256, compiled: bool = False
-    ) -> np.ndarray:
-        from repro.predictors.space_tensors import SpaceTensors
-
+    def encode_indices(self, indices) -> tuple:
+        """Forward inputs ``(adj, ops, supplementary)`` for architecture
+        table ``indices``: a gather from the space's dense tables, cheap
+        enough that nothing memoizes it."""
         idx = np.asarray(indices, dtype=np.int64)
         adj, ops = SpaceTensors.for_space(self.space).batch(idx)
         supp = None
@@ -380,6 +380,12 @@ class NASFLATPredictor(CompiledInference, Module):
                     "encoding table before index-based predict()"
                 )
             supp = self._supplementary[idx]
+        return adj, ops, supp
+
+    def _predict_indices(
+        self, device: str, indices, batch_size: int = 256, compiled: bool = False
+    ) -> np.ndarray:
+        adj, ops, supp = self.encode_indices(indices)
         scorer = self.compiled_predict if compiled else self.predict
         return scorer(adj, ops, device, supp, batch_size=batch_size)
 

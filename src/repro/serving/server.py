@@ -786,7 +786,7 @@ class PredictorServer:
         buf_bytes = getattr(self.session, "plan_buffer_bytes", None)
         if buf_bytes is not None:
             snap["plan_buffer_bytes"] = int(buf_bytes)
-        # Hot-score cache residency (hit/miss/bypass counters ride along in
+        # Score-table residency (hit/miss/bypass counters ride along in
         # session.*: score_hits / score_misses / score_bypass / ...).
         cached_scores = getattr(self.session, "score_cache_entries", None)
         if cached_scores is not None:

@@ -2,39 +2,40 @@
 
 Serving traffic looks nothing like the benchmark loop: the same few target
 devices are queried over and over with fresh architecture batches.  A
-:class:`PredictorSession` therefore caches three things:
+:class:`PredictorSession` therefore keeps two things:
 
 1. the pretrained checkpoint state (loaded or trained once);
-2. per-device *adapted* predictors, in an LRU keyed by device name —
-   adaptation (few-shot fine-tuning) happens once per device, not per
-   query;
-3. encoded architecture batches — the (adjacency, ops, supplementary)
-   tensors for recent index sets, so repeat queries skip re-gathering;
-4. compiled replay plans — one traced
-   :class:`~repro.nnlib.trace.CompiledPlan` per (device, shape bucket),
-   so steady-state serving runs pure numpy kernels with no tensor-engine
-   overhead (``use_compiled=False`` falls back to the eager forward);
-5. hot scores — a bounded per-``(device, arch-index)`` LRU of predicted
-   scores consulted *before* the forward: hits are subtracted from the
-   batch, only misses replay a plan, and the reply is merged.  Sound
-   bitwise because every plan bucket is >= 4 rows (see
-   ``predictors.compiled._MIN_BUCKET``), which makes a row's compiled
-   score independent of the batch it rides in; the eager path has no such
-   guarantee, so ``use_compiled=False`` bypasses the cache (counted).
-   Invalidated per device on re-adapt and hot-LRU eviction, and wholesale
-   on :meth:`add_device` and :meth:`set_plan_dtype`.
+2. one *hot entry* per recently served device, in an LRU keyed by device
+   name.  An entry holds the device's adapted predictor — adaptation
+   (few-shot fine-tuning) happens once per device, not per query — along
+   with what that predictor alone determines:
 
-``predict_batch`` then runs one vectorized forward pass over the whole
-batch.  Plans are invalidated whenever their device's adapted predictor
-is replaced (re-adaptation with fresh indices) or evicted from the LRU.  Adapting a device is deterministic in ``(seed, device)``, so two
-sessions restored from the same checkpoint serve identical predictions.
+   * its compiled replay plans, one traced
+     :class:`~repro.nnlib.trace.CompiledPlan` per shape bucket, memoized
+     on the predictor itself, so steady-state serving runs pure numpy
+     kernels with no tensor-engine overhead (``use_compiled=False`` falls
+     back to the eager forward);
+   * its score table: one f64 slot and one ``filled`` flag per
+     architecture in the search space, allocated on first use.  Hits are
+     gathered from the table and only misses replay a plan.  Sound bitwise
+     because every plan bucket is >= 4 rows (see
+     ``predictors.compiled._MIN_BUCKET``), which makes a row's f64 compiled
+     score independent of the batch it rides in; eager forwards and f32
+     plans have no such guarantee, so they serve around the table
+     (``stats.score_bypass``).
+
+Replacing an entry (re-adaptation, promotion, warmup load) or evicting it
+drops its plans and its table together; :meth:`add_device` resets every
+table, and :meth:`set_plan_dtype` every table and plan.  Adapting a device
+is deterministic in ``(seed, device)``, so two sessions restored from the
+same checkpoint serve identical predictions.
 
 A session is **thread-safe**: a re-entrant lock serializes adaptation,
 cache mutation, and the forward pass, so N threads hammering one session
 get exactly the predictions a serial caller would (adaptation is
 deterministic in ``(seed, device)``, so arrival order cannot change
-results).  Inference runs under :func:`~repro.nnlib.no_grad` — served
-queries never build an autodiff tape.
+results).  Served queries never build an autodiff tape: plan replay is
+pure numpy and the eager forward runs under :func:`~repro.nnlib.no_grad`.
 """
 from __future__ import annotations
 
@@ -46,9 +47,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from repro.nnlib import no_grad
+from repro.predictors.compiled import plan_buckets
 from repro.predictors.nasflat import NASFLATPredictor
-from repro.predictors.space_tensors import SpaceTensors
 from repro.samplers.factory import make_sampler
 from repro.tasks.devsets import Task, get_task
 from repro.transfer.pipeline import NASFLATPipeline, PipelineConfig, quick_config
@@ -61,22 +61,19 @@ class SessionStats:
     adapt_calls: int = 0
     device_hits: int = 0
     device_evictions: int = 0
-    encode_hits: int = 0
-    encode_misses: int = 0
     queries: int = 0
     architectures_scored: int = 0
     # Compiled-plan cache (one traced plan per (device, shape bucket)).
     plan_hits: int = 0
     plan_compiles: int = 0
     plan_invalidations: int = 0
-    # Hot-score cache (per-(device, arch) memoized predictions).  ``bypass``
-    # counts rows served around the cache entirely (eager path or cache
-    # disabled) — a high bypass under use_compiled=False is expected, not a
-    # miss-rate problem.
+    # Per-device score tables.  ``bypass`` counts rows served around the
+    # table entirely (eager path, f32 plans, or table disabled) — a high
+    # bypass there is expected, not a miss-rate problem.  Invalidations
+    # count filled rows dropped with their table.
     score_hits: int = 0
     score_misses: int = 0
     score_bypass: int = 0
-    score_evictions: int = 0
     score_invalidations: int = 0
     # Device cold-start cost: cumulative wall-clock spent inside adaptation
     # (sampling + fine-tuning) and the most recent single adaptation.  The
@@ -102,6 +99,25 @@ class SessionStats:
         return asdict(self)
 
 
+class _HotDevice:
+    """A hot device's adapted predictor and its score table.
+
+    ``scores``/``filled`` hold one f64 score and one flag per architecture
+    in the search space; both stay ``None`` until the first memoized row.
+    """
+
+    __slots__ = ("predictor", "scores", "filled")
+
+    def __init__(self, predictor: NASFLATPredictor):
+        self.predictor = predictor
+        self.scores: np.ndarray | None = None
+        self.filled: np.ndarray | None = None
+
+    def resident(self) -> int:
+        """Filled rows in the table."""
+        return 0 if self.filled is None else int(np.count_nonzero(self.filled))
+
+
 class PredictorSession:
     """Batched latency-prediction serving over one pretrained checkpoint.
 
@@ -110,16 +126,18 @@ class PredictorSession:
     task: task name or :class:`Task`; fixes the search space and pools.
     config: pipeline configuration; defaults to :func:`quick_config`.
     seed: controls pretraining and the per-device adaptation streams.
-    max_hot_devices: LRU capacity for adapted predictors.
-    max_cached_batches: LRU capacity for encoded architecture batches.
-    max_cached_scores: LRU capacity for the hot-score cache — memoized
-        per-(device, arch-index) predictions consulted before the forward
-        (0 disables).  Bitwise-transparent for compiled serving; the eager
-        path bypasses it (``stats.score_bypass``).
+    max_hot_devices: LRU capacity for hot devices (adapted predictors, with
+        their plans and score tables).
+    max_cached_scores: any true value (the default) memoizes each hot
+        device's scores in a table sized by the search space, consulted
+        before the forward; ``0`` turns the tables off.  The value sets no
+        capacity; the name is kept for existing callers.  Bitwise-
+        transparent for f64 compiled serving; eager and f32 sessions bypass
+        it (``stats.score_bypass``).
     use_compiled: serve ``predict_batch`` from traced replay plans (one per
-        (device, shape bucket), cached alongside the adapted-predictor LRU
-        and invalidated with it) instead of the eager tensor engine.  The
-        two paths agree to within 1e-6; ``False`` is the escape hatch.
+        shape bucket, memoized on each hot device's adapted predictor and
+        dropped with it) instead of the eager tensor engine.  The two paths
+        agree to within 1e-6; ``False`` is the escape hatch.
     use_compiled_adapt: run device cold-start fine-tuning through a traced
         forward+backward plan and a fused optimizer (see
         ``predictors.compiled.CompiledTraining``) — gradients match the
@@ -148,8 +166,7 @@ class PredictorSession:
         config: PipelineConfig | None = None,
         seed: int = 0,
         max_hot_devices: int = 8,
-        max_cached_batches: int = 32,
-        max_cached_scores: int = 65536,
+        max_cached_scores: bool | int = True,
         *,
         use_compiled: bool = True,
         use_compiled_adapt: bool | None = None,
@@ -171,26 +188,18 @@ class PredictorSession:
             self.seed = seed
             self.pipeline = NASFLATPipeline(self.task, config or quick_config(), seed=seed)
         self.max_hot_devices = max_hot_devices
-        self.max_cached_batches = max_cached_batches
-        self.max_cached_scores = int(max_cached_scores)
+        self.max_cached_scores = max_cached_scores
         self.use_compiled = bool(use_compiled)
         self.use_compiled_adapt = (
             bool(use_compiled) if use_compiled_adapt is None else bool(use_compiled_adapt)
         )
         self.plan_dtype = plan_dtype
         self.stats = SessionStats()
-        self._hot: OrderedDict[str, NASFLATPredictor] = OrderedDict()
-        # (device, shape bucket) pairs whose compiled replay plan is resident
-        # (the plan object itself is memoized on the adapted predictor, which
-        # owns the Parameters it was traced from).  Entries for a device die
-        # with its hot-LRU entry (re-adapt or eviction) — a fresh clone means
-        # fresh parameters, so its plans must be re-traced.
-        self._plans: set[tuple[str, int]] = set()
-        # Hot-score LRU: (device, arch index) -> numpy scalar with the exact
-        # bits (and dtype) the compiled plan produced.  Lives and dies with
-        # the device's adapted predictor: anything that replaces or drops a
-        # hot entry flushes its scores.
-        self._scores: OrderedDict[tuple[str, int], np.floating] = OrderedDict()
+        # Device -> hot entry (adapted predictor, its plans, its score
+        # table), least-recent first.  A fresh clone means fresh parameters,
+        # so replacing an entry drops everything derived from the old one.
+        self._hot: OrderedDict[str, _HotDevice] = OrderedDict()
+        self._n_archs = self.pipeline.space.num_architectures()
         # Monotonic per-device predictor version: bumped on every install
         # (cold adapt, pinned refresh, warmup load, promotion) and never
         # reset by eviction — "which weights is this device serving" is
@@ -200,12 +209,10 @@ class PredictorSession:
         # (/devices, hot_devices) must not stall behind a multi-second
         # cold-device adaptation holding the session lock.
         self._hot_names: tuple[str, ...] = ()
-        self._batches: OrderedDict[bytes, tuple] = OrderedDict()
-        self._tensors = SpaceTensors.for_space(self.pipeline.space)
-        # Re-entrant so predict_batch -> adapt -> _encode_batch nest freely.
-        # One lock covers both LRUs, the stats counters, and the forward
-        # pass itself (adapted predictors toggle train/eval state, which
-        # must not interleave across threads).
+        # Re-entrant so predict_batch -> adapt nest freely.  One lock covers
+        # the hot-device LRU and its tables, the stats counters, and the
+        # forward pass itself (adapted predictors toggle train/eval state,
+        # which must not interleave across threads).
         self._lock = threading.RLock()
         if warmup_artifacts is not None:
             self.load_warmup(warmup_artifacts)
@@ -275,7 +282,7 @@ class PredictorSession:
                 self.stats.device_hits += 1
                 self._hot.move_to_end(device)
                 self._hot_names = tuple(self._hot)
-                return self._hot[device]
+                return self._hot[device].predictor
             if not self.pipeline.is_pretrained:
                 raise RuntimeError("no pretrained checkpoint: call pretrain() or from_checkpoint()")
             t_start = time.perf_counter()
@@ -334,24 +341,33 @@ class PredictorSession:
         """Atomically make ``predictor`` the served version for ``device``
         (caller holds the lock).
 
-        The swap invalidates exactly what the new weights obsolete — the
-        device's compiled plans (traced from the old clone's parameters)
-        and its memoized scores — bumps the device's version, and applies
-        LRU eviction.  Until this point the old predictor served every
-        request, which is what makes shadow-evaluated promotion (and
-        rollback-by-not-installing) safe under concurrent traffic.
+        The swap replaces the device's whole hot entry, so exactly what the
+        new weights obsolete goes with the old one — the compiled plans
+        memoized on the old clone and its score table — then bumps the
+        device's version and applies LRU eviction.  Until this point the
+        old predictor served every request, which is what makes
+        shadow-evaluated promotion (and rollback-by-not-installing) safe
+        under concurrent traffic.
         """
-        self._invalidate_plans(device)
-        self._invalidate_scores(device)
-        self._hot[device] = predictor
-        self._hot.move_to_end(device)
+        old = self._hot.pop(device, None)
+        if old is not None:
+            self._retire(old)
+        self._hot[device] = _HotDevice(predictor)
         self._versions[device] = self._versions.get(device, 0) + 1
         while len(self._hot) > self.max_hot_devices:
-            evicted, _ = self._hot.popitem(last=False)
+            _, evicted = self._hot.popitem(last=False)
             self.stats.device_evictions += 1
-            self._invalidate_plans(evicted)
-            self._invalidate_scores(evicted)
+            self._retire(evicted)
         self._hot_names = tuple(self._hot)
+
+    def _retire(self, entry: _HotDevice, plans: bool = True) -> None:
+        """Drop ``entry``'s score table, counting its filled rows, and —
+        with ``plans`` — count the plans its predictor takes along (caller
+        holds the lock)."""
+        self.stats.score_invalidations += entry.resident()
+        entry.scores = entry.filled = None
+        if plans:
+            self.stats.plan_invalidations += len(entry.predictor.compiled_buckets())
 
     # ------------------------------------------------------ online adaptation
     def adapt_candidate(self, device: str, indices) -> NASFLATPredictor:
@@ -380,13 +396,10 @@ class PredictorSession:
         """Score ``idx`` with an *uninstalled* candidate (eager, no caches).
 
         The candidate has no compiled plans and must not pollute the
-        serving caches, so this is a plain eager forward under
-        :func:`~repro.nnlib.no_grad`; only the batch encode briefly takes
-        the session lock.
+        serving caches, so this is a plain eager forward (tape-free, as
+        every ``predict`` is) that never takes the session lock.
         """
-        adj, ops, supp = self._encode_batch(idx)
-        with no_grad():
-            return predictor.predict(adj, ops, device, supp, batch_size=len(idx))
+        return predictor.predict(device, idx, batch_size=len(idx))
 
     def promote(self, device: str, predictor: NASFLATPredictor) -> int:
         """Hot-swap ``predictor`` in as ``device``'s served version.
@@ -476,41 +489,23 @@ class PredictorSession:
         with self._lock:
             return dict(self._versions)
 
-    def _invalidate_plans(self, device: str) -> None:
-        """Drop compiled plans for ``device`` (caller holds the lock)."""
-        stale = {key for key in self._plans if key[0] == device}
-        self._plans -= stale
-        self.stats.plan_invalidations += len(stale)
-
-    def _invalidate_scores(self, device: str | None = None) -> None:
-        """Drop memoized scores for ``device`` — or all of them — (caller
-        holds the lock)."""
-        if device is None:
-            dropped = len(self._scores)
-            self._scores.clear()
-        else:
-            stale = [key for key in self._scores if key[0] == device]
-            for key in stale:
-                del self._scores[key]
-            dropped = len(stale)
-        self.stats.score_invalidations += dropped
-
     def add_device(self, device: str, init_from: str | None = None) -> None:
         """Register a new device row on every hot predictor's embedding
-        table (see :meth:`NASFLATPredictor.add_device`), flushing the score
-        cache — cache policy is conservative around roster changes even
-        though existing rows are copied bitwise."""
+        table (see :meth:`NASFLATPredictor.add_device`), dropping every
+        score table — cache policy is conservative around roster changes
+        even though existing rows are copied bitwise.  Plans survive."""
         with self._lock:
-            for predictor in self._hot.values():
-                predictor.add_device(device, init_from=init_from)
-            self._invalidate_scores()
+            for entry in self._hot.values():
+                entry.predictor.add_device(device, init_from=init_from)
+                self._retire(entry, plans=False)
 
     def set_plan_dtype(self, dtype: str) -> None:
         """Re-pin the session's plan execution precision.
 
         Drops every compiled plan (they were traced at the old dtype) and
-        the whole score cache (its values carry the old precision's bits);
-        subsequent requests re-trace and re-fill at ``dtype``.
+        every score table; subsequent requests re-trace at ``dtype`` and
+        refill the tables if ``dtype`` is ``"f64"`` (f32 rows are served
+        around them).
         """
         from repro.nnlib.ir import check_plan_dtype
 
@@ -519,11 +514,9 @@ class PredictorSession:
             if dtype == self.plan_dtype:
                 return
             self.plan_dtype = dtype
-            for predictor in self._hot.values():
-                predictor.set_plan_dtype(dtype)
-            self.stats.plan_invalidations += len(self._plans)
-            self._plans.clear()
-            self._invalidate_scores()
+            for entry in self._hot.values():
+                self._retire(entry)
+                entry.predictor.set_plan_dtype(dtype)
 
     # ---------------------------------------------------------------- warmup
     def _load_warm_predictor(self, checkpoint) -> NASFLATPredictor:
@@ -594,8 +587,7 @@ class PredictorSession:
                 predictor = self._load_warm_predictor(bundle_dir / entry["checkpoint"])
                 self._install(device, predictor)
                 for plan_entry in entry.get("plans", []):
-                    bucket, _ = predictor.load_plan(bundle_dir / plan_entry["path"])
-                    self._plans.add((device, bucket))
+                    predictor.load_plan(bundle_dir / plan_entry["path"])
                     loaded += 1
             self.stats.plans_loaded += loaded
             self.stats.plan_load_seconds += time.perf_counter() - t0
@@ -607,48 +599,30 @@ class PredictorSession:
     def plan_cache_entries(self) -> dict[str, int]:
         """Resident compiled-plan count per device (inference plan cache)."""
         with self._lock:
-            counts: dict[str, int] = {}
-            for device, _bucket in self._plans:
-                counts[device] = counts.get(device, 0) + 1
-            return counts
+            counts = {d: len(e.predictor.compiled_buckets()) for d, e in self._hot.items()}
+            return {d: n for d, n in counts.items() if n}
 
     @property
     def plan_buffer_bytes(self) -> int:
         """Total replay-buffer bytes resident across hot predictors' plans."""
         with self._lock:
-            return sum(p.plan_buffer_bytes() for p in self._hot.values())
+            return sum(e.predictor.plan_buffer_bytes() for e in self._hot.values())
 
     @property
     def score_cache_entries(self) -> int:
-        """Resident hot-score cache entries (gauge for ``/metrics``)."""
+        """Filled score-table rows across hot devices (gauge for ``/metrics``)."""
         with self._lock:
-            return len(self._scores)
+            return sum(e.resident() for e in self._hot.values())
 
     # -------------------------------------------------------------- inference
-    def _encode_batch(self, idx: np.ndarray) -> tuple:
-        with self._lock:
-            key = idx.tobytes()
-            if key in self._batches:
-                self.stats.encode_hits += 1
-                self._batches.move_to_end(key)
-                return self._batches[key]
-            self.stats.encode_misses += 1
-            adj, ops = self._tensors.batch(idx)
-            supp = self.pipeline.supplementary
-            encoded = (adj, ops, supp[idx] if supp is not None else None)
-            self._batches[key] = encoded
-            while len(self._batches) > self.max_cached_batches:
-                self._batches.popitem(last=False)
-            return encoded
-
     def predict_batch(self, device: str, indices) -> np.ndarray:
         """Latency scores for ``indices`` on ``device``, one forward pass.
 
         Adapts the device on first use (sampler-chosen measurement set),
-        then serves from the hot predictor.  Compiled serving consults the
-        hot-score cache first — hits are merged, only misses run — with
-        bitwise-identical output either way.  The forward runs as a
-        single vectorized chunk — by default a replayed
+        then serves from the hot predictor.  f64 compiled serving gathers
+        the rows already in the device's score table and replays a plan
+        over the rest only, with bitwise-identical output either way.  The
+        forward runs as a single vectorized chunk — by default a replayed
         :class:`~repro.nnlib.trace.CompiledPlan` for the batch's shape
         bucket (see ``use_compiled``), otherwise the eager path under
         :func:`~repro.nnlib.no_grad` (served queries must not pay for an
@@ -662,78 +636,42 @@ class PredictorSession:
             self.stats.architectures_scored += len(idx)
             if len(idx) == 0:
                 return np.empty(0)
-            if not (self.use_compiled and self.max_cached_scores > 0):
-                # Eager forwards are not composition-stable (a row's bits can
-                # depend on its batch), so memoizing them would break the
-                # bitwise cache-off equivalence guarantee: bypass.
+            if not (self.max_cached_scores and self.use_compiled and self.plan_dtype == "f64"):
+                # Eager forwards and f32 plans are not composition-stable (a
+                # row's bits can depend on its batch), so memoizing them
+                # would break bitwise cache-off equivalence: bypass.
                 self.stats.score_bypass += len(idx)
                 return self._forward(device, predictor, idx)
-            cache = self._scores
-            arch_ids = idx.tolist()
-            miss_pos: list[int] = []
-            for pos, arch in enumerate(arch_ids):
-                key = (device, arch)
-                if key in cache:
-                    cache.move_to_end(key)
-                else:
-                    miss_pos.append(pos)
-            self.stats.score_hits += len(idx) - len(miss_pos)
-            self.stats.score_misses += len(miss_pos)
-            if not miss_pos:
-                return np.array([cache[(device, arch)] for arch in arch_ids])
-            if len(miss_pos) == len(idx):
-                scores = self._forward(device, predictor, idx)
-                self._store_scores(device, arch_ids, scores)
-                return scores
-            # Mixed batch: replay the plan over the misses only, then merge
-            # with the memoized rows — bitwise-identical to computing the
-            # full batch, because bucket->=4 plans make row values
-            # independent of batch composition.
-            computed = self._forward(device, predictor, idx[miss_pos])
-            out = np.empty(len(idx), dtype=computed.dtype)
-            out[miss_pos] = computed
-            hit_mark = np.ones(len(idx), dtype=bool)
-            hit_mark[miss_pos] = False
-            for pos in np.flatnonzero(hit_mark):
-                out[pos] = cache[(device, arch_ids[pos])]
-            self._store_scores(device, [arch_ids[p] for p in miss_pos], computed)
-            return out
+            entry = self._hot[device]
+            if entry.filled is None:
+                entry.scores = np.empty(self._n_archs)
+                entry.filled = np.zeros(self._n_archs, dtype=bool)
+            miss = idx[~entry.filled[idx]]
+            self.stats.score_hits += len(idx) - len(miss)
+            self.stats.score_misses += len(miss)
+            if len(miss):
+                entry.scores[miss] = self._forward(device, predictor, miss)
+                entry.filled[miss] = True
+            return entry.scores[idx]
 
     def _forward(self, device: str, predictor: NASFLATPredictor, idx: np.ndarray) -> np.ndarray:
-        """One vectorized forward over ``idx`` (caller holds the lock)."""
-        adj, ops, supp = self._encode_batch(idx)
-        if self.use_compiled:
-            self._plan_for(device, predictor, len(idx))
-            return predictor.compiled_predict(adj, ops, device, supp, batch_size=len(idx))
-        with no_grad():
-            return predictor.predict(adj, ops, device, supp, batch_size=len(idx))
+        """One vectorized forward over ``idx`` (caller holds the lock).
 
-    def _store_scores(self, device: str, arch_ids: list[int], scores: np.ndarray) -> None:
-        """Memoize freshly computed scores (caller holds the lock)."""
-        cache = self._scores
-        for arch, value in zip(arch_ids, scores):
-            key = (device, arch)
-            cache[key] = value
-            cache.move_to_end(key)
-        while len(cache) > self.max_cached_scores:
-            cache.popitem(last=False)
-            self.stats.score_evictions += 1
-
-    def _plan_for(self, device: str, predictor: NASFLATPredictor, n: int) -> None:
-        """Resolve the replay plans for an ``n``-row batch (caller holds the
-        lock).  An ``n``-row batch replays through its power-of-two chunk
-        buckets; each (device, bucket) plan is cached, and a miss traces the
-        adapted predictor once (an eager forward on a dummy batch)."""
-        from repro.predictors.compiled import plan_buckets
-
+        A compiled forward replays ``idx``'s power-of-two chunk buckets; a
+        bucket without a plan on ``predictor`` traces it once (an eager
+        forward on a dummy batch)."""
+        n = len(idx)
+        if not self.use_compiled:
+            return predictor.predict(device, idx, batch_size=n)
+        resident = predictor.compiled_buckets()
         for bucket in set(plan_buckets(n)):
-            key = (device, bucket)
-            if key in self._plans:
+            if bucket in resident:
                 self.stats.plan_hits += 1
             else:
                 predictor.compile(bucket)
-                self._plans.add(key)
                 self.stats.plan_compiles += 1
+        adj, ops, supp = predictor.encode_indices(idx)
+        return predictor.compiled_predict(adj, ops, device, supp, batch_size=n)
 
     def predict(self, device: str, indices) -> np.ndarray:
         """Alias of :meth:`predict_batch` matching the

@@ -93,8 +93,9 @@ class WorkerSpec:
     # different dtype — the startup handshake surfaces it as a named error
     # instead of one shard silently serving another precision.
     dtype: str = "f64"
-    # Hot-score cache capacity per worker session (0 disables).
-    score_cache: int = 65536
+    # Per-device score tables in each worker session (0/False disables; any
+    # true value enables — the tables are sized by the search space).
+    score_cache: bool | int = True
 
 
 def build_worker_session(spec: WorkerSpec, worker_id: int, n_workers: int):
@@ -114,7 +115,7 @@ def build_worker_session(spec: WorkerSpec, worker_id: int, n_workers: int):
         use_compiled=spec.use_compiled,
         use_compiled_adapt=spec.use_compiled_adapt,
         plan_dtype=getattr(spec, "dtype", "f64"),
-        max_cached_scores=getattr(spec, "score_cache", 65536),
+        max_cached_scores=spec.score_cache,
     )
     warm: list[str] = []
     if spec.plans is not None:

@@ -1,4 +1,4 @@
-"""PredictorSession: checkpoint roundtrip, device LRU, batch memoization,
+"""PredictorSession: checkpoint roundtrip, device LRU, score memoization,
 thread safety, and the no-autodiff-tape serving guarantee."""
 import threading
 
@@ -61,22 +61,6 @@ class TestServing:
         session.predict_batch("fpga", [0, 1, 2])
         session.predict_batch("fpga", [3, 4, 5])
         assert session.stats.adapt_calls == before  # already hot from prior test
-
-    def test_encode_cache_hits(self, session):
-        # Score-cache off for this test: a repeated batch would otherwise be
-        # served entirely from memoized scores and never reach the encoder.
-        saved = session.max_cached_scores
-        session.max_cached_scores = 0
-        try:
-            idx = np.arange(7)
-            misses_before = session.stats.encode_misses
-            session.predict_batch("fpga", idx)
-            hits_before = session.stats.encode_hits
-            session.predict_batch("fpga", idx)
-            assert session.stats.encode_hits == hits_before + 1
-            assert session.stats.encode_misses == misses_before + 1
-        finally:
-            session.max_cached_scores = saved
 
     def test_repeat_batch_served_from_score_cache(self, session):
         idx = np.arange(40, 52)
@@ -184,19 +168,19 @@ class TestPlanCache:
         s.predict_batch("fpga", np.arange(8))  # exact bucket -> pure hit
         s.predict_batch("eyeriss", np.arange(8))  # other device -> compile
         assert (s.stats.plan_compiles, s.stats.plan_hits) == (3, 3)
-        assert set(s._plans) == {("fpga", 8), ("fpga", 4), ("eyeriss", 8)}
+        assert s.plan_cache_entries == {"fpga": 2, "eyeriss": 1}
 
     def test_eviction_drops_device_plans(self, mini_task, cfg):
         s = PredictorSession(mini_task, cfg, seed=8, max_hot_devices=1).pretrain()
         s.predict_batch("fpga", np.arange(8))
         s.predict_batch("eyeriss", np.arange(8))  # evicts fpga + its plan
         assert s.stats.plan_invalidations == 1
-        assert set(s._plans) == {("eyeriss", 8)}
+        assert s.plan_cache_entries == {"eyeriss": 1}
 
     def test_compiled_off_never_compiles(self, mini_task, cfg):
         s = PredictorSession(mini_task, cfg, seed=9, use_compiled=False).pretrain()
         s.predict_batch("fpga", np.arange(10))
-        assert s.stats.plan_compiles == 0 and not s._plans
+        assert s.stats.plan_compiles == 0 and not s.plan_cache_entries
 
     def test_compiled_matches_eager_session(self, mini_task, cfg):
         compiled = PredictorSession(mini_task, cfg, seed=10).pretrain()
@@ -275,7 +259,7 @@ class TestThreadSafety:
         for r in range(self.ROUNDS):
             for device in mini_task.test_devices:
                 work.append((device, rng.choice(300, size=12, replace=False)))
-                work.append((device, np.arange(6)))  # repeated -> encode hits
+                work.append((device, np.arange(6)))  # repeated -> score hits
         return work
 
     def test_concurrent_predictions_match_serial_bitwise(self, mini_task, cfg):
@@ -314,7 +298,7 @@ class TestThreadSafety:
             np.testing.assert_array_equal(outputs[j], exp)
 
     def test_concurrent_use_keeps_lru_invariants(self, mini_task, cfg):
-        s = PredictorSession(mini_task, cfg, seed=5, max_hot_devices=2, max_cached_batches=4)
+        s = PredictorSession(mini_task, cfg, seed=5, max_hot_devices=2)
         s.pretrain()
         errors: list[Exception] = []
 
@@ -334,6 +318,5 @@ class TestThreadSafety:
             t.join(120.0)
         assert not errors, errors
         assert len(s._hot) <= 2
-        assert len(s._batches) <= 4
         assert set(s.hot_devices) <= set(mini_task.test_devices)
         assert s.stats.queries == 6 * 6

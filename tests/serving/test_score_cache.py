@@ -1,11 +1,11 @@
-"""Hot-score cache suite: memoized scores must be invisible.
+"""Score-table suite: memoized scores must be invisible.
 
-The cache's correctness claim (see :mod:`repro.serving.session`): because
-compiled plan buckets are floored at 4 rows, a row's score is bitwise
-independent of its batch-mates — so serving any mix of cached and freshly
+The tables' correctness claim (see :mod:`repro.serving.session`): because
+compiled plan buckets are floored at 4 rows, a row's f64 score is bitwise
+independent of its batch-mates — so serving any mix of memoized and freshly
 computed rows must equal the cache-off forward bit for bit, under serial
 and concurrent load, across re-adapts, roster changes, precision flips,
-evictions, and sharded worker kills mid-flight.
+device evictions, and sharded worker kills mid-flight.
 """
 import os
 import signal
@@ -141,12 +141,15 @@ class TestInvalidationAndEviction:
     def test_readapt_flushes_device_scores(self, checkpoint, mini_task, cfg):
         s = _open(checkpoint, mini_task, cfg)
         s.predict_batch("fpga", np.arange(8))
-        s.predict_batch("eyeriss", np.arange(8))
+        s.predict_batch("eyeriss", np.arange(20, 26))
         entries = s.score_cache_entries
         inv0 = s.stats.score_invalidations
         s.adapt("fpga", np.arange(50, 58))  # pinned re-adapt: new weights
         assert s.stats.score_invalidations == inv0 + 8  # fpga rows only
         assert s.score_cache_entries == entries - 8
+        hits0 = s.stats.score_hits
+        s.predict_batch("eyeriss", np.arange(20, 26))  # untouched: all hits
+        assert s.stats.score_hits == hits0 + 6
         misses0 = s.stats.score_misses
         got = s.predict_batch("fpga", np.arange(8))  # must recompute
         assert s.stats.score_misses == misses0 + 8
@@ -176,17 +179,12 @@ class TestInvalidationAndEviction:
         assert s.score_cache_entries == 0
         f32 = s.predict_batch("fpga", np.arange(8))
         assert f32.dtype == np.float32
+        assert s.score_cache_entries == 0  # f32 rows serve around the table
+        assert s.stats.score_bypass == 8
+        s.set_plan_dtype("f64")
+        again = s.predict_batch("fpga", np.arange(8))
         assert s.score_cache_entries == 8
-
-    def test_lru_eviction_is_bounded_and_counted(self, checkpoint, mini_task, cfg):
-        s = _open(checkpoint, mini_task, cfg, max_cached_scores=8)
-        s.predict_batch("fpga", np.arange(12))
-        assert s.score_cache_entries == 8
-        assert s.stats.score_evictions == 4
-        # Evicted rows are plain misses again — and still bitwise-correct.
-        bare = _open(checkpoint, mini_task, cfg, max_cached_scores=0)
-        got = s.predict_batch("fpga", np.arange(12))
-        assert np.array_equal(got, bare.predict_batch("fpga", np.arange(12)))
+        assert np.array_equal(again, f64)
 
     def test_device_lru_eviction_takes_scores_along(self, checkpoint, mini_task, cfg):
         s = _open(checkpoint, mini_task, cfg, max_hot_devices=2)
@@ -195,7 +193,57 @@ class TestInvalidationAndEviction:
         inv0 = s.stats.score_invalidations
         s.predict_batch("raspi4", np.arange(4))  # evicts fpga's predictor
         assert s.stats.score_invalidations == inv0 + 4
-        assert {d for d, _ in s._scores} == {"eyeriss", "raspi4"}
+        assert s.hot_devices == ["eyeriss", "raspi4"]
+        assert s.score_cache_entries == 8
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestScoreTable:
+    def test_second_full_pass_is_all_hits_without_replay(self, checkpoint, mini_task, cfg):
+        s = _open(checkpoint, mini_task, cfg)
+        everything = np.arange(TABLE)
+        first = {device: s.predict_batch(device, everything) for device in DEVICES}
+        assert s.score_cache_entries == TABLE * len(DEVICES)
+        before = s.stats.snapshot()
+        for device in DEVICES:
+            assert _same_bits(s.predict_batch(device, everything), first[device])
+        after = s.stats.snapshot()
+        assert after["score_hits"] - before["score_hits"] == TABLE * len(DEVICES)
+        assert after["score_misses"] == before["score_misses"]
+        # No replay: not one plan was even looked up.
+        for key in ("plan_hits", "plan_compiles"):
+            assert after[key] == before[key], key
+
+    def test_duplicate_unsorted_mixed_request_matches_cache_off(
+        self, checkpoint, mini_task, cfg
+    ):
+        cached = _open(checkpoint, mini_task, cfg)
+        bare = _open(checkpoint, mini_task, cfg, max_cached_scores=0)
+        cached.predict_batch("eyeriss", np.array([3, 7, 11]))
+        hits0, misses0 = cached.stats.score_hits, cached.stats.score_misses
+        request = np.array([250, 7, 42, 7, 3, 250, 199, 11, 42])
+        got = cached.predict_batch("eyeriss", request)
+        assert cached.stats.score_hits == hits0 + 4  # 7, 7, 3, 11
+        assert cached.stats.score_misses == misses0 + 5  # 250, 42, 250, 199, 42
+        assert _same_bits(got, bare.predict_batch("eyeriss", request))
+        # The misses were written back: the same request is now all hits.
+        assert _same_bits(cached.predict_batch("eyeriss", request), got)
+        assert cached.stats.score_misses == misses0 + 5
+
+    def test_f32_sessions_memoize_nothing(self, checkpoint, mini_task, cfg):
+        """f32 plans are not composition-stable (a row's bits can depend on
+        its batch-mates), so every f32 row serves around the table."""
+        s = _open(checkpoint, mini_task, cfg, plan_dtype="f32")
+        idx = np.arange(12)
+        assert s.predict_batch("fpga", idx).dtype == np.float32
+        s.predict_batch("fpga", idx)
+        s.predict_batch("eyeriss", idx[:5])
+        assert s.stats.score_bypass == 12 + 12 + 5
+        assert (s.stats.score_hits, s.stats.score_misses) == (0, 0)
+        assert s.score_cache_entries == 0
 
 
 class TestShardedScoreCache:

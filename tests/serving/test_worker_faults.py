@@ -122,6 +122,11 @@ class TestKillMidFlight:
         exactly one correct response per request — none lost, none extra."""
         n_clients, per_client = 4, 6
         with ShardedRouter(spec, n_workers=4, monitor_interval_s=0.2) as router:
+            wid = router.shard_of("fpga")
+            # Parked before any client starts, so the kill below lands while
+            # fpga requests are queued behind the sleep — not after every
+            # request has already been answered.
+            occupier = _occupy(router, wid, seconds=20.0)
             responses = {}  # (client, i) -> scores; dict insert is atomic
 
             def client(cid):
@@ -138,11 +143,11 @@ class TestKillMidFlight:
             for t in threads:
                 t.start()
             time.sleep(0.15)  # mid-stream: kill the fpga shard's worker
-            victim = router._handles[router.shard_of("fpga")]
-            os.kill(victim.pid, signal.SIGKILL)
+            os.kill(router._handles[wid].pid, signal.SIGKILL)
             for t in threads:
                 t.join(timeout=300)
                 assert not t.is_alive()
+            occupier.join(timeout=5)
             assert len(responses) == n_clients * per_client  # nothing dropped
             for device, idx, got in responses.values():
                 assert np.array_equal(got, expected.predict_batch(device, idx))
