@@ -236,7 +236,6 @@ def _serve_sharded(args, cfg) -> int:
         n_workers=args.workers,
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
-        binary=(args.wire == "rsf2"),
         pipeline_depth=args.pipeline_depth,
     )
     print(f"Spawning {args.workers} predictor worker(s) ...", flush=True)
@@ -250,9 +249,8 @@ def _serve_sharded(args, cfg) -> int:
     server.start()
     print(
         f"Serving on {server.url} — {args.workers} workers, device-affinity "
-        f"sharding, {args.wire.upper()} wire, pipeline depth "
-        f"{args.pipeline_depth} (batching per shard: max_batch={args.max_batch}, "
-        f"max_wait_ms={args.max_wait_ms})",
+        f"sharding, pipeline depth {args.pipeline_depth} (batching per shard: "
+        f"max_batch={args.max_batch}, max_wait_ms={args.max_wait_ms})",
         flush=True,
     )
     print(f"  GET  {server.url}/metrics   (workers_alive, per-shard rollup; Ctrl-C drains and exits)")
@@ -416,13 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="memoize each hot device's scores in a per-device table, per "
         "session/worker; bitwise-transparent for f64 compiled serving, "
         "bypassed by eager and f32 serving (--no-score-cache: off)",
-    )
-    p.add_argument(
-        "--wire",
-        choices=["rsf2", "rsf1"],
-        default="rsf2",
-        help="router<->worker predict wire: rsf2 = binary frames (raw "
-        "index/score buffers), rsf1 = JSON fallback (sharded mode only)",
     )
     p.add_argument(
         "--pipeline-depth",

@@ -39,7 +39,7 @@ from repro.serving.adaptation import (
 from repro.serving.router import ShardedRouter, WorkerStartupError, WorkerUnavailableError
 from repro.serving.server import MicroBatcher, PredictorServer, ServerMetrics
 from repro.serving.session import PredictorSession, SessionStats
-from repro.serving.transport import ProtocolNegotiationError, TransportError
+from repro.serving.transport import TransportError
 from repro.serving.worker import WorkerSpec
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "PlanDtypeMismatchError",
     "PredictorServer",
     "PredictorSession",
-    "ProtocolNegotiationError",
     "ServerMetrics",
     "SessionStats",
     "ShardedRouter",

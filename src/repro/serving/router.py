@@ -23,15 +23,12 @@ parallel — a single global dispatcher would re-serialize the fleet.
 
 The shard link is a :class:`_ShardChannel`: a multiplexed request/reply
 channel (requests tagged with ids, one reader thread matching replies)
-rather than a lock-serialized exchange.  Two things fall out.  First,
-**pipelining**: each shard runs ``pipeline_depth`` dispatcher threads, so
-the next micro-batch window is already on the wire while the worker
-computes the previous one — transport and compute overlap instead of
-alternating.  Second, the **binary data plane**: with ``binary=True``
-(default, negotiated at spawn via the worker's advertised protocol list)
-predict traffic rides RSF2 frames — raw little-endian index/score buffers,
-no float → decimal → float round trip — while control ops (adapt, metrics,
-ping, shutdown) stay on RSF1 JSON.
+rather than a lock-serialized exchange, which allows **pipelining**: each
+shard runs ``pipeline_depth`` dispatcher threads, so the next micro-batch
+window is already on the wire while the worker computes the previous one —
+transport and compute overlap instead of alternating.  Predict traffic
+rides RSF2 frames (raw little-endian index/score buffers); control ops
+(adapt, metrics, ping, shutdown) ride RSF1 JSON.
 
 Fault model: predictions are deterministic in ``(seed, device)`` (and
 adaptation in ``(seed, device, indices)``), i.e. **idempotent** — so when
@@ -61,10 +58,9 @@ import numpy as np
 from repro.serving.server import MicroBatcher, ServerMetrics
 from repro.serving.transport import (
     BIN_PREDICT,
+    BinaryMessage,
     TransportError,
-    negotiated_wire,
     recv_frame,
-    recv_frame_any,
     send_binary_frame,
     send_frame,
     shard_for,
@@ -102,11 +98,11 @@ class _ShardChannel:
     """Multiplexed request/reply channel to one worker process.
 
     Senders tag each frame with a fresh id under a send lock and park on a
-    per-request event; one reader thread receives every reply — RSF1 JSON
-    or RSF2 binary — and wakes the matching waiter.  That split is what
-    allows several requests *outstanding at once* on a single socket (the
-    router's pipelining) where the previous design lock-serialized whole
-    request/response exchanges.
+    per-request event; one reader thread receives every reply — an RSF2
+    score buffer or an RSF1 JSON dict — and wakes the matching waiter.
+    That split is what allows several requests *outstanding at once* on a
+    single socket (the router's pipelining) where the previous design
+    lock-serialized whole request/response exchanges.
 
     Failure semantics: a transport error (worker death, desync) fails every
     pending request with the same named error and poisons the channel —
@@ -119,10 +115,9 @@ class _ShardChannel:
     ticks, since per-request deadlines live with the waiters.
     """
 
-    def __init__(self, sock: socket.socket, worker_id: int, wire: str, io_timeout_s: float):
+    def __init__(self, sock: socket.socket, worker_id: int, io_timeout_s: float):
         self.sock = sock
         self.worker_id = worker_id
-        self.wire = wire
         sock.settimeout(max(io_timeout_s, 1.0))
         self._send_lock = threading.Lock()
         self._plock = threading.Lock()
@@ -160,24 +155,15 @@ class _ShardChannel:
         return self._await(rid, entry, timeout, msg.get("op"))
 
     def predict(self, device: str, indices: np.ndarray, timeout: float):
-        """Predict RPC on the negotiated wire.
-
-        RSF2 ships the i64 index buffer raw and returns the reply's score
-        array bitwise (f64 or f32, whatever the shard's plans produce);
-        RSF1 is the JSON fallback for old workers.  Either wire may return
-        an error dict instead (the worker always reports failures as JSON).
+        """Predict RPC: ship the i64 index buffer raw as an RSF2 frame and
+        return the reply's score array bitwise (f64 or f32, whatever the
+        shard's plans produce), or the worker's JSON error dict.
         """
         rid, entry = self._register()
         idx = np.ascontiguousarray(np.asarray(indices, dtype=np.int64).ravel())
         try:
             with self._send_lock:
-                if self.wire == "RSF2":
-                    send_binary_frame(self.sock, BIN_PREDICT, rid, idx, device)
-                else:
-                    send_frame(
-                        self.sock,
-                        {"op": "predict", "id": rid, "device": device, "indices": idx.tolist()},
-                    )
+                send_binary_frame(self.sock, BIN_PREDICT, rid, idx, device)
         except BaseException:
             self._discard(rid)
             raise
@@ -197,13 +183,13 @@ class _ShardChannel:
     def _read_loop(self) -> None:
         while True:
             try:
-                kind, payload = recv_frame_any(self.sock)
+                payload = recv_frame(self.sock)
             except TimeoutError:
                 continue  # idle tick; per-request deadlines live with the waiters
             except (TransportError, OSError) as exc:
                 self._fail_all(exc)
                 return
-            if kind == "bin":
+            if isinstance(payload, BinaryMessage):
                 rid, result = payload.request_id, payload.array
             else:
                 rid, result = payload.get("id"), payload
@@ -263,8 +249,8 @@ class _WorkerHandle:
 
 
 class _PredictCall:
-    """Marker routing an RPC through the channel's predict wire (instead of
-    a JSON control frame)."""
+    """Marker routing an RPC through the channel's RSF2 predict frames
+    (instead of a JSON control frame)."""
 
     __slots__ = ("device", "indices")
 
@@ -294,12 +280,9 @@ class ShardedRouter:
     monitor_interval_s: cadence of the respawn monitor (0 disables it;
         dead workers then respawn lazily on the next request).
     startup_timeout_s: deadline for a worker's ready handshake.
-    binary: carry predict traffic on RSF2 binary frames (raw index/score
-        buffers, bitwise, no JSON decimal round trip).  Negotiated against
-        each worker's advertised protocol list at spawn; a pre-RSF2 worker
-        fails fast with
-        :class:`~repro.serving.transport.ProtocolNegotiationError`.
-        ``False`` pins the RSF1 JSON data plane.
+    binary: must be ``True``: predict traffic always rides RSF2 binary
+        frames.  Kept so callers that pass ``binary=True`` keep working;
+        ``False`` raises ``ValueError``.
     pipeline_depth: dispatcher threads per shard — how many micro-batch
         windows may be outstanding on a shard's channel at once.  Depth 2
         overlaps transport with worker compute; depth 1 restores the
@@ -348,7 +331,11 @@ class ShardedRouter:
         self.max_retries = int(max_retries)
         self.monitor_interval_s = float(monitor_interval_s)
         self.startup_timeout_s = float(startup_timeout_s)
-        self.binary = bool(binary)
+        if not binary:
+            raise ValueError(
+                "binary=False is not supported: predict traffic always rides "
+                "RSF2 binary frames"
+            )
         if pipeline_depth < 1:
             raise ValueError(f"pipeline_depth must be >= 1, got {pipeline_depth}")
         self.pipeline_depth = int(pipeline_depth)
@@ -527,19 +514,7 @@ class ShardedRouter:
             raise WorkerStartupError(
                 f"worker {wid} failed to start: {ready.get('error', 'unknown error')}"
             )
-        # Version negotiation rides the (JSON) ready handshake: a worker
-        # that can't speak the requested wire fails here, by name, not
-        # mid-stream with a desync.
-        try:
-            wire = negotiated_wire(ready.get("proto"), self.binary)
-        except TransportError:
-            router_end.close()
-            proc.terminate()
-            proc.join(timeout=2.0)
-            raise
-        channel = _ShardChannel(
-            router_end, wid, wire=wire, io_timeout_s=self.request_timeout_s
-        )
+        channel = _ShardChannel(router_end, wid, io_timeout_s=self.request_timeout_s)
         handle = _WorkerHandle(
             wid, proc, channel, ready.get("pid"), ready.get("warm_devices", ())
         )
@@ -663,12 +638,11 @@ class ShardedRouter:
         """Send ``msg`` to shard ``wid``; on worker death, respawn and retry.
 
         ``msg`` is either a JSON control dict or a :class:`_PredictCall`
-        (routed over the negotiated predict wire — RSF2 binary frames in
-        binary mode).  Safe because every routed operation is idempotent:
-        predictions and adaptation are deterministic in
-        ``(seed, device[, indices])``, and the dead worker's reply channel
-        died with it, so a retry cannot produce a second answer for the
-        same request.
+        (routed over RSF2 binary frames).  Safe because every routed
+        operation is idempotent: predictions and adaptation are
+        deterministic in ``(seed, device[, indices])``, and the dead
+        worker's reply channel died with it, so a retry cannot produce a
+        second answer for the same request.
         """
         is_predict = isinstance(msg, _PredictCall)
         op = "predict" if is_predict else msg.get("op")
@@ -715,11 +689,8 @@ class ShardedRouter:
     def _make_predict_fn(self, wid: int):
         def predict(device: str, indices) -> np.ndarray:
             reply = self._rpc_with_retry(wid, _PredictCall(device, indices))
-            if isinstance(reply, np.ndarray):
-                # Binary reply: f64 passes through bitwise; an f32 shard's
-                # scores widen exactly (same contract as JSON repr floats).
-                return np.asarray(reply, dtype=np.float64)
-            return np.asarray(reply["scores"], dtype=np.float64)
+            # f64 passes through bitwise; an f32 shard's scores widen exactly.
+            return np.asarray(reply, dtype=np.float64)
 
         return predict
 
@@ -904,7 +875,9 @@ class ShardedRouter:
             spawn_failures = list(self._spawn_failures)
             spawn_failures_total = self.spawn_failures_total
         return {
-            "workers_alive": self.workers_alive,
+            # Counted from this scrape's entries, so a respawn that lands
+            # mid-scrape can't make the gauge and per_worker disagree.
+            "workers_alive": sum(1 for entry in per_worker if entry["alive"]),
             "workers_total": self.n_workers,
             "worker_deaths_total": deaths,
             "worker_respawns_total": respawns,

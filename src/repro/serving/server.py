@@ -832,9 +832,7 @@ class PredictorServer:
         snap["compiled_adapt"] = getattr(router.spec, "use_compiled_adapt", None)
         # Every shard serves the spec's dtype (worker warmup enforces it).
         snap["plan_dtype"] = getattr(router.spec, "dtype", None)
-        # Data-plane shape: which wire revision router<->worker frames use
-        # and how many batch windows may be in flight per shard.
-        snap["wire_protocol"] = "RSF2" if getattr(router, "binary", False) else "RSF1"
+        # Data-plane shape: how many batch windows may be in flight per shard.
         snap["pipeline_depth"] = int(getattr(router, "pipeline_depth", 1))
         snap["score_cache_entries"] = sum(
             entry.get("score_cache_entries") or 0 for entry in rollup["per_worker"]

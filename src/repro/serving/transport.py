@@ -8,13 +8,16 @@ message is one *frame* —
 
     +----------+----------------+------------------+
     | magic    | payload length | payload          |
-    | 4 bytes  | 4 bytes, BE    | UTF-8 JSON bytes |
+    | 4 bytes  | 4 bytes, BE    | codec per magic  |
     +----------+----------------+------------------+
 
-JSON is the payload codec on purpose: Python serializes an f64 with
-``repr`` (shortest round-tripping decimal), so prediction scores cross the
-process boundary **bitwise-exactly** — the property the sharded-equivalence
-suite pins down.
+and the magic names the payload's codec.  ``RSF1`` frames carry UTF-8
+JSON: every control message (ready handshake, adapt, readapt, metrics,
+ping, sleep, shutdown) and every error reply.  ``RSF2`` frames carry the
+predict traffic (an i64 index buffer in, a raw f64/f32 score buffer out),
+so a score crosses the process boundary **bitwise**, with no
+float -> decimal -> float round trip.  Both ends are always the same build
+(workers are forked from the router), so there is nothing to negotiate.
 
 Failure behavior is the contract here, not a detail.  A reader must never
 hang on a malformed frame and must never mistake one failure for another,
@@ -26,7 +29,8 @@ so every way a frame can be bad has a *named* error:
   raised *before* reading (or sending) the payload, so a corrupt length
   can't make the reader try to buffer gigabytes.
 * :class:`FrameProtocolError` — bad magic (stream desync, e.g. after
-  interleaved writes) or a payload that is not valid JSON.
+  interleaved writes), a payload that is not valid JSON, or a malformed
+  binary payload.
 
 All three subclass :class:`TransportError`.  Socket timeouts propagate as
 ``socket.timeout`` (``TimeoutError``) — a slow peer is the caller's policy
@@ -42,25 +46,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Frame magic: "Repro Serving Frame", protocol revision 1.  A reader that
-#: sees anything else is desynchronized and must drop the connection.
+#: Frame magic of a JSON control frame ("Repro Serving Frame", revision 1).
+#: A reader that sees neither magic is desynchronized and must drop the
+#: connection.
 FRAME_MAGIC = b"RSF1"
 
-#: Revision 2: binary data-plane frames (predict requests / score replies)
-#: carrying struct-packed headers plus raw little-endian numpy payloads.
-#: Control ops (ping/metrics/shutdown/adapt) and version negotiation stay
-#: on RSF1 JSON; an RSF1-only peer offered an RSF2 frame fails fast with
-#: :class:`FrameProtocolError` (bad magic), by name.
+#: Frame magic of a binary predict frame: a struct-packed header plus a raw
+#: little-endian numpy payload.
 FRAME_MAGIC2 = b"RSF2"
-
-#: Protocols this build speaks, advertised in the worker ready handshake.
-PROTOCOL_VERSIONS = ("RSF1", "RSF2")
 
 _HEADER = struct.Struct("!4sI")  # magic + unsigned big-endian payload length
 
 #: Default cap on a single frame's payload.  Generous for this protocol
-#: (a 4096-index predict reply is ~100 KB of JSON) while keeping a corrupt
-#: length prefix from turning into an unbounded buffer.
+#: (a 4096-index predict request is 32 KB) while keeping a corrupt length
+#: prefix from turning into an unbounded buffer.
 MAX_FRAME_BYTES = 16 << 20
 
 
@@ -79,11 +78,6 @@ class FrameTooLargeError(TransportError):
 class FrameProtocolError(TransportError):
     """The stream is not speaking this protocol (bad magic / bad JSON /
     malformed binary payload)."""
-
-
-class ProtocolNegotiationError(TransportError):
-    """The peer's advertised protocol list can't satisfy the requested wire
-    format (e.g. a pre-RSF2 worker behind a binary-mode router)."""
 
 
 def shard_for(device: str, n_shards: int) -> int:
@@ -109,44 +103,49 @@ def send_frame(sock: socket.socket, obj, max_bytes: int = MAX_FRAME_BYTES) -> No
     sock.sendall(encode_frame(obj, max_bytes))
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes or raise :class:`TruncatedFrameError`.
+def _recv_exact(sock: socket.socket, n: int) -> bytearray:
+    """Read exactly ``n`` bytes into a fresh buffer or raise
+    :class:`TruncatedFrameError`.
 
-    ``recv`` returning ``b""`` means the peer is gone; a loop that ignored
+    ``recv_into`` returning 0 means the peer is gone; a loop that ignored
     it would spin forever — the "reader thread hangs on a dead worker"
     failure mode this module exists to rule out.
     """
-    chunks: list[bytes] = []
+    buf = bytearray(n)
+    view = memoryview(buf)
     got = 0
     while got < n:
-        chunk = sock.recv(n - got)
+        chunk = sock.recv_into(view[got:], n - got)
         if not chunk:
             raise TruncatedFrameError(
                 f"stream ended after {got} of {n} expected bytes"
             )
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+        got += chunk
+    return buf
 
 
 def recv_frame(sock: socket.socket, max_bytes: int = MAX_FRAME_BYTES):
     """Read one frame from ``sock`` and return the decoded message.
 
-    Raises the named :class:`TransportError` subclasses on malformed input
-    and ``socket.timeout`` if the socket has a timeout and the peer stalls.
+    An RSF1 frame returns its JSON value; an RSF2 frame returns a
+    :class:`BinaryMessage` whose array views the frame's own buffer, so it
+    stays valid after later reads.  Raises the named
+    :class:`TransportError` subclasses on malformed input and
+    ``socket.timeout`` if the socket has a timeout and the peer stalls.
     """
-    header = _recv_exact(sock, _HEADER.size)
-    magic, length = _HEADER.unpack(header)
-    if magic != FRAME_MAGIC:
+    magic, length = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
+    if magic not in (FRAME_MAGIC, FRAME_MAGIC2):
         raise FrameProtocolError(
-            f"bad frame magic {magic!r} (expected {FRAME_MAGIC!r}); "
-            "stream is desynchronized"
+            f"bad frame magic {magic!r} (expected {FRAME_MAGIC!r} or "
+            f"{FRAME_MAGIC2!r}); stream is desynchronized"
         )
     if length > max_bytes:
         raise FrameTooLargeError(
             f"frame declares a {length}-byte payload; cap is {max_bytes}"
         )
     payload = _recv_exact(sock, length)
+    if magic == FRAME_MAGIC2:
+        return decode_binary_payload(payload)
     try:
         return json.loads(payload)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -163,10 +162,9 @@ def recv_frame(sock: socket.socket, max_bytes: int = MAX_FRAME_BYTES):
 #                                 | device (UTF-8) | raw LE array bytes  |
 #                                 +----------------+---------------------+
 #
-# The outer (magic, length) prefix is shared with RSF1, so one reader can
-# demultiplex both revisions from the same stream.  Array bytes are the
-# native little-endian buffer — an f64 score crosses the boundary bitwise,
-# with no float -> decimal -> float round trip and no per-element decode.
+# The outer (magic, length) prefix is shared with RSF1, so one reader
+# demultiplexes both from the same stream.  Array bytes are the native
+# little-endian buffer: no per-element decode.
 
 #: Binary message kinds.
 BIN_PREDICT = 1  # router -> worker: device + i64 architecture indices
@@ -196,38 +194,13 @@ def _wire_tag(dtype: np.dtype) -> int:
 
 @dataclass(frozen=True)
 class BinaryMessage:
-    """One decoded RSF2 frame.  ``array`` is a zero-copy view over the
-    receive buffer — consume (or copy) it before that buffer is reused."""
+    """One decoded RSF2 frame.  ``array`` is a view over the frame's
+    payload buffer."""
 
     kind: int
     request_id: int
     device: str
     array: np.ndarray
-
-
-class ReceiveArena:
-    """Reusable per-connection receive buffer for zero-copy decode.
-
-    ``recv_frame_any`` reads each binary payload straight into this buffer
-    and ``np.frombuffer``'s over it — no per-frame allocation on the hot
-    path.  The returned views alias the arena, so it suits strictly serial
-    consumers (the worker loop: decode, predict, reply, only then recv
-    again).  Pass ``arena=None`` where views must outlive the next recv.
-    """
-
-    __slots__ = ("_buf",)
-
-    def __init__(self, initial_bytes: int = 1 << 16):
-        self._buf = bytearray(max(int(initial_bytes), _BIN_HEADER.size))
-
-    @property
-    def capacity(self) -> int:
-        return len(self._buf)
-
-    def take(self, n: int) -> memoryview:
-        if len(self._buf) < n:
-            self._buf = bytearray(max(n, 2 * len(self._buf)))
-        return memoryview(self._buf)[:n]
 
 
 def encode_binary_frame(
@@ -282,8 +255,8 @@ def send_binary_frame(
 def decode_binary_payload(payload) -> BinaryMessage:
     """Decode one RSF2 payload (everything after the outer header).
 
-    ``payload`` may be ``bytes`` or a ``memoryview``; the returned array is
-    a zero-copy view over it.  Every malformed shape has a named error:
+    ``payload`` is any bytes-like object; the returned array is a
+    zero-copy view over it.  Every malformed shape has a named error:
     short header, unknown kind, unknown dtype tag, and any length mismatch
     (truncated array or trailing garbage) all raise
     :class:`FrameProtocolError` immediately — never a hang, never a
@@ -316,71 +289,3 @@ def decode_binary_payload(payload) -> BinaryMessage:
         view, dtype=wire_dtype, count=count, offset=_BIN_HEADER.size + device_len
     )
     return BinaryMessage(kind=kind, request_id=request_id, device=device, array=array)
-
-
-def recv_frame_any(
-    sock: socket.socket,
-    max_bytes: int = MAX_FRAME_BYTES,
-    arena: ReceiveArena | None = None,
-):
-    """Read one frame of either revision.
-
-    Returns ``("json", obj)`` for RSF1 frames and ``("bin", BinaryMessage)``
-    for RSF2 frames.  With an ``arena``, binary payloads land in its
-    reusable buffer (zero-copy decode, views invalidated by the next call);
-    without one, each binary frame gets a fresh buffer its views can keep.
-    """
-    header = _recv_exact(sock, _HEADER.size)
-    magic, length = _HEADER.unpack(header)
-    if length > max_bytes:
-        raise FrameTooLargeError(
-            f"frame declares a {length}-byte payload; cap is {max_bytes}"
-        )
-    if magic == FRAME_MAGIC:
-        payload = _recv_exact(sock, length)
-        try:
-            return "json", json.loads(payload)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise FrameProtocolError(
-                f"frame payload is not valid JSON: {exc}"
-            ) from None
-    if magic == FRAME_MAGIC2:
-        if arena is not None:
-            view = arena.take(length)
-        else:
-            view = memoryview(bytearray(length))
-        _recv_exact_into(sock, view)
-        return "bin", decode_binary_payload(view)
-    raise FrameProtocolError(
-        f"bad frame magic {magic!r} (expected {FRAME_MAGIC!r} or {FRAME_MAGIC2!r}); "
-        "stream is desynchronized"
-    )
-
-
-def _recv_exact_into(sock: socket.socket, view: memoryview) -> None:
-    """``_recv_exact`` into a caller-owned buffer (no allocation)."""
-    got = 0
-    n = len(view)
-    while got < n:
-        chunk = sock.recv_into(view[got:], n - got)
-        if not chunk:
-            raise TruncatedFrameError(
-                f"stream ended after {got} of {n} expected bytes"
-            )
-        got += chunk
-
-
-def negotiated_wire(peer_protocols, want_binary: bool) -> str:
-    """Pick the wire format for a connection from the peer's advertised
-    protocol list (its ready-handshake ``proto`` field; a pre-RSF2 peer
-    advertises nothing and is treated as RSF1-only).  Raises
-    :class:`ProtocolNegotiationError` when the request can't be met, so a
-    mixed-version fleet fails by name at spawn instead of desynchronizing
-    mid-stream."""
-    protos = tuple(peer_protocols) if peer_protocols else ("RSF1",)
-    want = "RSF2" if want_binary else "RSF1"
-    if want not in protos:
-        raise ProtocolNegotiationError(
-            f"peer speaks {protos}; {want} is required for this connection"
-        )
-    return want

@@ -13,17 +13,13 @@ The worker speaks the length-prefixed frame protocol of
 :mod:`repro.serving.transport` over a single stream socket to the router.
 Requests may arrive *pipelined* (several outstanding frames; the router
 tags each with an id and matches replies by id), but the worker itself
-stays strictly serial: decode one frame — binary payloads land zero-copy
-in a per-connection :class:`~repro.serving.transport.ReceiveArena` —
-serve it, reply, then recv again, so arena reuse is safe.  Operations:
+stays strictly serial: decode one frame, serve it, reply, then recv again.
+Operations:
 
-``predict``   JSON ``{"op": "predict", "id": n, "device": d, "indices":
-              [...]}`` → ``{"id": n, "ok": true, "scores": [...]}``
-              (``repr`` round-trips f64 exactly), or the RSF2 binary
-              equivalent: an i64 index frame in, a raw f64/f32 score
-              buffer out — bitwise either way, with no float → decimal →
-              float trip on the binary path.  Binary predict failures
-              reply as RSF1 JSON errors carrying the same id.
+``predict``   an RSF2 i64 index frame in, a raw f64/f32 score buffer out
+              (bitwise, with no float → decimal → float trip).  Failures
+              reply as RSF1 JSON errors carrying the same id.  Every other
+              operation is an RSF1 JSON frame ``{"op": ..., "id": n}``.
 ``adapt``     re-adapt a device, optionally pinning explicit measurement
               ``indices`` (mid-stream refresh; deterministic in
               ``(seed, device, indices)``).
@@ -60,11 +56,9 @@ from typing import Any
 from repro.serving.transport import (
     BIN_PREDICT,
     BIN_SCORES,
-    PROTOCOL_VERSIONS,
     BinaryMessage,
-    ReceiveArena,
     TransportError,
-    recv_frame_any,
+    recv_frame,
     send_binary_frame,
     send_frame,
     shard_for,
@@ -184,16 +178,14 @@ def worker_main(
             "pid": os.getpid(),
             "worker": worker_id,
             "warm_devices": warm,
-            "proto": list(PROTOCOL_VERSIONS),
         },
     )
-    arena = ReceiveArena()
     while True:
         try:
-            kind, req = recv_frame_any(conn, arena=arena)
+            req = recv_frame(conn)
         except (TransportError, OSError):
             return  # router is gone; nothing left to serve
-        if kind == "bin":
+        if isinstance(req, BinaryMessage):
             ok = _handle_binary(session, worker_id, conn, req)
             if not ok:
                 return
@@ -212,8 +204,6 @@ def _handle_binary(
 ) -> bool:
     """Serve one RSF2 frame; returns False when the router socket is gone.
 
-    ``msg.array`` is a zero-copy view into the receive arena — the predict
-    below consumes it before the next ``recv`` can clobber the buffer.
     Failures reply as RSF1 JSON with the same request id, so the router's
     demultiplexer resolves the waiter either way.
     """
@@ -247,10 +237,7 @@ def _handle(session, worker_id: int, req: dict) -> dict:
     reply: dict = {"id": req.get("id"), "worker": worker_id}
     try:
         op = req.get("op")
-        if op == "predict":
-            scores = session.predict_batch(req["device"], req["indices"])
-            reply.update(ok=True, scores=[float(s) for s in scores])
-        elif op == "adapt":
+        if op == "adapt":
             session.adapt(req["device"], indices=req.get("indices"))
             reply.update(ok=True, device=req["device"])
         elif op == "readapt":

@@ -5,10 +5,8 @@ score replies cross the wire as raw little-endian numpy buffers and
 round-trip **bitwise** (f64 and f32 alike); every malformed shape —
 truncated array bytes, trailing garbage, unknown dtype tag or kind,
 oversize, byte-order abuse — fails with a *named* ``TransportError``
-within the socket deadline; and one reader demultiplexes RSF1 JSON and
-RSF2 binary frames off the same stream, while an RSF1-only reader offered
-an RSF2 frame fails fast by name (how a pre-RSF2 worker behind a binary
-router announces itself).
+within the socket deadline; and the one frame reader demultiplexes RSF1
+JSON and RSF2 binary frames off the same stream.
 """
 import socket
 import struct
@@ -21,21 +19,16 @@ from repro.serving.transport import (
     BIN_SCORES,
     FRAME_MAGIC2,
     MAX_FRAME_BYTES,
-    PROTOCOL_VERSIONS,
     BinaryMessage,
     FrameProtocolError,
     FrameTooLargeError,
-    ProtocolNegotiationError,
-    ReceiveArena,
     TransportError,
     TruncatedFrameError,
     _BIN_HEADER,
     _HEADER,
     decode_binary_payload,
     encode_binary_frame,
-    negotiated_wire,
     recv_frame,
-    recv_frame_any,
     send_binary_frame,
     send_frame,
 )
@@ -56,8 +49,7 @@ class TestRoundTrip:
         a, b = pair
         idx = np.random.default_rng(0).integers(0, 10**6, size=257)
         send_binary_frame(a, BIN_PREDICT, 41, idx, device="raspi4")
-        kind, msg = recv_frame_any(b)
-        assert kind == "bin"
+        msg = recv_frame(b)
         assert isinstance(msg, BinaryMessage)
         assert (msg.kind, msg.request_id, msg.device) == (BIN_PREDICT, 41, "raspi4")
         assert msg.array.dtype == np.int64
@@ -68,7 +60,7 @@ class TestRoundTrip:
         a, b = pair
         scores = np.random.default_rng(7).standard_normal(300).astype(dtype)
         send_binary_frame(a, BIN_SCORES, 9, scores)
-        _, msg = recv_frame_any(b)
+        msg = recv_frame(b)
         assert msg.array.dtype == dtype
         # Bitwise, not allclose: the binary wire's whole point.
         assert msg.array.tobytes() == scores.tobytes()
@@ -76,13 +68,13 @@ class TestRoundTrip:
     def test_empty_array(self, pair):
         a, b = pair
         send_binary_frame(a, BIN_SCORES, 1, np.empty(0))
-        _, msg = recv_frame_any(b)
+        msg = recv_frame(b)
         assert msg.array.size == 0 and msg.array.dtype == np.float64
 
     def test_unicode_device_name(self, pair):
         a, b = pair
         send_binary_frame(a, BIN_PREDICT, 2, np.arange(4), device="gpu-β/0")
-        _, msg = recv_frame_any(b)
+        msg = recv_frame(b)
         assert msg.device == "gpu-β/0"
 
     def test_big_endian_input_is_normalized(self):
@@ -96,28 +88,17 @@ class TestRoundTrip:
         send_frame(a, {"op": "ping", "id": 1})
         send_binary_frame(a, BIN_PREDICT, 2, np.arange(6), device="fpga")
         send_frame(a, {"op": "metrics", "id": 3})
-        kinds = [recv_frame_any(b)[0] for _ in range(3)]
-        assert kinds == ["json", "bin", "json"]
+        first, second, third = (recv_frame(b) for _ in range(3))
+        assert first == {"op": "ping", "id": 1}
+        assert isinstance(second, BinaryMessage) and second.device == "fpga"
+        assert third == {"op": "metrics", "id": 3}
 
-    def test_arena_decode_is_zero_copy_and_reused(self, pair):
-        a, b = pair
-        arena = ReceiveArena(initial_bytes=64)
-        send_binary_frame(a, BIN_SCORES, 1, np.full(16, 1.5))
-        _, first = recv_frame_any(b, arena=arena)
-        np.testing.assert_array_equal(first.array, np.full(16, 1.5))
-        stale = first.array  # view over the arena — clobbered by next recv
-        send_binary_frame(a, BIN_SCORES, 2, np.full(16, -2.5))
-        _, second = recv_frame_any(b, arena=arena)
-        np.testing.assert_array_equal(second.array, np.full(16, -2.5))
-        # The stale view now reads the new payload: proof there was no copy.
-        np.testing.assert_array_equal(stale, np.full(16, -2.5))
-
-    def test_without_arena_views_are_independent(self, pair):
+    def test_each_frame_decodes_into_its_own_buffer(self, pair):
         a, b = pair
         send_binary_frame(a, BIN_SCORES, 1, np.full(16, 1.5))
-        _, first = recv_frame_any(b)
+        first = recv_frame(b)
         send_binary_frame(a, BIN_SCORES, 2, np.full(16, -2.5))
-        recv_frame_any(b)
+        recv_frame(b)
         np.testing.assert_array_equal(first.array, np.full(16, 1.5))
 
 
@@ -125,21 +106,13 @@ class TestNamedFailures:
     def _frame(self, payload: bytes) -> bytes:
         return _HEADER.pack(FRAME_MAGIC2, len(payload)) + payload
 
-    def test_rsf1_reader_rejects_rsf2_by_name(self, pair):
-        """An old (RSF1-only) worker fed a binary frame must fail loudly
-        with the named bad-magic error, not hang or misparse."""
-        a, b = pair
-        send_binary_frame(a, BIN_PREDICT, 1, np.arange(3), device="fpga")
-        with pytest.raises(FrameProtocolError, match="magic"):
-            recv_frame(b)
-
     def test_truncated_array_bytes(self, pair):
         a, b = pair
         frame = encode_binary_frame(BIN_SCORES, 5, np.arange(32, dtype=np.float64))
         a.sendall(frame[:-16])
         a.close()
         with pytest.raises(TruncatedFrameError):
-            recv_frame_any(b)
+            recv_frame(b)
 
     def test_payload_shorter_than_declared_array(self, pair):
         # Outer length is consistent, but the binary header promises more
@@ -148,7 +121,7 @@ class TestNamedFailures:
         payload = _BIN_HEADER.pack(BIN_SCORES, 1, 0, 7, 100) + b"\x00" * 24
         a.sendall(self._frame(payload))
         with pytest.raises(FrameProtocolError, match="truncated array|declares"):
-            recv_frame_any(b)
+            recv_frame(b)
 
     def test_garbage_after_header(self, pair):
         a, b = pair
@@ -156,33 +129,33 @@ class TestNamedFailures:
         payload = good[_HEADER.size :] + b"JUNK"
         a.sendall(self._frame(payload))
         with pytest.raises(FrameProtocolError, match="trailing garbage|declares"):
-            recv_frame_any(b)
+            recv_frame(b)
 
     def test_unknown_dtype_tag(self, pair):
         a, b = pair
         payload = _BIN_HEADER.pack(BIN_SCORES, 99, 0, 7, 0)
         a.sendall(self._frame(payload))
         with pytest.raises(FrameProtocolError, match="dtype tag"):
-            recv_frame_any(b)
+            recv_frame(b)
 
     def test_unknown_kind(self, pair):
         a, b = pair
         payload = _BIN_HEADER.pack(77, 1, 0, 7, 0)
         a.sendall(self._frame(payload))
         with pytest.raises(FrameProtocolError, match="kind"):
-            recv_frame_any(b)
+            recv_frame(b)
 
     def test_payload_shorter_than_binary_header(self, pair):
         a, b = pair
         a.sendall(self._frame(b"\x01\x01"))
         with pytest.raises(FrameProtocolError):
-            recv_frame_any(b)
+            recv_frame(b)
 
     def test_oversize_declared_length_refused_before_buffering(self, pair):
         a, b = pair
         a.sendall(_HEADER.pack(FRAME_MAGIC2, MAX_FRAME_BYTES + 1))
         with pytest.raises(FrameTooLargeError):
-            recv_frame_any(b)
+            recv_frame(b)
 
     def test_encode_rejects_oversize(self):
         with pytest.raises(FrameTooLargeError):
@@ -197,7 +170,7 @@ class TestNamedFailures:
         payload = _BIN_HEADER.pack(BIN_PREDICT, 0, 2, 1, 0) + b"\xff\xfe"
         a.sendall(self._frame(payload))
         with pytest.raises(FrameProtocolError, match="UTF-8"):
-            recv_frame_any(b)
+            recv_frame(b)
 
     def test_stalled_peer_times_out_within_deadline(self, pair):
         a, b = pair
@@ -205,10 +178,10 @@ class TestNamedFailures:
         frame = encode_binary_frame(BIN_SCORES, 1, np.arange(8, dtype=np.float64))
         a.sendall(frame[:12])  # binary payload never completes
         with pytest.raises(TimeoutError):
-            recv_frame_any(b)
+            recv_frame(b)
 
     def test_garbage_fuzz_never_hangs_or_crashes(self):
-        """Random byte streams against the dual-protocol reader: a named
+        """Random byte streams against the frame reader: a named
         TransportError or timeout within the deadline, nothing else."""
         rng = np.random.default_rng(1234)
         for trial in range(80):
@@ -222,32 +195,12 @@ class TestNamedFailures:
                 if rng.random() < 0.5:
                     a.close()
                 try:
-                    recv_frame_any(b)
+                    recv_frame(b)
                 except (TransportError, TimeoutError):
                     pass
             finally:
                 a.close()
                 b.close()
-
-
-class TestNegotiation:
-    def test_binary_requires_rsf2(self):
-        assert negotiated_wire(["RSF1", "RSF2"], want_binary=True) == "RSF2"
-        with pytest.raises(ProtocolNegotiationError, match="RSF2"):
-            negotiated_wire(["RSF1"], want_binary=True)
-
-    def test_legacy_peer_advertises_nothing(self):
-        # Pre-RSF2 workers send no proto field: JSON still negotiates,
-        # binary fails by name.
-        assert negotiated_wire(None, want_binary=False) == "RSF1"
-        with pytest.raises(ProtocolNegotiationError):
-            negotiated_wire(None, want_binary=True)
-
-    def test_json_pin_works_against_new_peer(self):
-        assert negotiated_wire(list(PROTOCOL_VERSIONS), want_binary=False) == "RSF1"
-
-    def test_negotiation_error_is_a_transport_error(self):
-        assert issubclass(ProtocolNegotiationError, TransportError)
 
 
 class TestWireLayout:

@@ -3,13 +3,17 @@
 The worker pool's correctness claim is *bitwise* equivalence: adaptation is
 deterministic in ``(seed, device)`` (and in ``(seed, device, indices)`` for
 pinned re-adapts), every worker builds from the same checkpoint + artifact
-bundle, and scores cross the wire as shortest-round-trip JSON floats — so
-an identical request stream against the 1-process session and the 4-worker
+bundle, and scores cross the wire as raw little-endian RSF2 buffers (``<f8``,
+or ``<f4`` from an f32 shard, which the router widens exactly) — so an
+identical request stream against the 1-process session and the 4-worker
 router must produce identical ``float64`` predictions, request for
 request, including after a mid-stream re-adapt and across worker respawns.
 """
 import json
+import threading
+import time
 import urllib.request
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,6 +89,19 @@ def reference(artifacts, mini_task, cfg):
     )
 
 
+@pytest.fixture(params=["f64", "f32"])
+def dtype_pair(request, spec, artifacts, mini_task, cfg):
+    """``(spec, reference)`` at one plan dtype.  The bundle's plans are f64,
+    so the f32 pair runs without it: each f32 shard adapts and compiles on
+    first touch, as its reference session does."""
+    if request.param == "f64":
+        return spec, request.getfixturevalue("reference")
+    reference = PredictorSession.from_checkpoint(
+        artifacts[0], task=mini_task, config=cfg, plan_dtype="f32"
+    )
+    return replace(spec, dtype="f32", plans=None), reference
+
+
 def _request_stream(seed: int, n: int):
     """A deterministic mixed request stream (devices and batch shapes)."""
     rng = np.random.default_rng(seed)
@@ -95,7 +112,8 @@ def _request_stream(seed: int, n: int):
 
 
 class TestShardedEquivalence:
-    def test_identical_stream_is_bitwise_identical(self, spec, reference):
+    def test_identical_stream_is_bitwise_identical(self, dtype_pair):
+        spec, reference = dtype_pair
         with ShardedRouter(spec, n_workers=N_WORKERS, monitor_interval_s=0) as router:
             for device, idx in _request_stream(seed=1, n=16):
                 want = reference.predict_batch(device, idx)
@@ -148,44 +166,69 @@ class TestShardedEquivalence:
                 assert wid == router.shard_of(device)
 
 
-class TestWireModes:
-    """RSF2 binary (the default above) and RSF1 JSON must serve the same
-    bits — the wire is a transport choice, never a numerics choice."""
+class TestShardChannel:
+    """The router <-> worker link: RSF2 is the only predict wire, and the
+    multiplexed channel matches every reply to its waiter by request id."""
 
-    def test_json_unpipelined_stream_matches_reference(self, spec, reference):
-        # binary=False + pipeline_depth=1 is exactly the PR 7 data plane.
-        with ShardedRouter(
-            spec, n_workers=N_WORKERS, monitor_interval_s=0, binary=False, pipeline_depth=1
-        ) as router:
-            for device, idx in _request_stream(seed=4, n=12):
-                want = reference.predict_batch(device, idx)
-                got = router.submit(device, idx, timeout=120)
-                assert got.dtype == np.float64
-                assert np.array_equal(want, got), (device, idx)
+    def test_json_predict_wire_is_refused(self, spec):
+        with pytest.raises(ValueError, match="binary"):
+            ShardedRouter(spec, n_workers=2, binary=False)
 
-    def test_json_wire_survives_mid_stream_readapt(self, spec, reference):
-        with ShardedRouter(
-            spec, n_workers=2, monitor_interval_s=0, binary=False
-        ) as router:
-            pinned = np.arange(70, 78)
-            reference.adapt("fpga", pinned)
-            router.adapt("fpga", pinned)
-            idx = np.arange(17)
+    def test_worker_rejects_json_predict_and_keeps_serving(self, spec, reference):
+        with ShardedRouter(spec, n_workers=2, monitor_interval_s=0) as router:
+            handle = router._handles[router.shard_of("fpga")]
+            reply = router._request(
+                handle, {"op": "predict", "device": "fpga", "indices": [1, 2]}, 30
+            )
+            assert reply["ok"] is False
+            assert "unknown op" in reply["error"]
+            idx = np.arange(9)
             assert np.array_equal(
                 reference.predict_batch("fpga", idx),
                 router.submit("fpga", idx, timeout=120),
             )
+            assert router.deaths_total == 0
 
-    def test_metrics_report_negotiated_wire_and_depth(self, spec):
-        for binary, depth, wire in ((True, 3, "RSF2"), (False, 1, "RSF1")):
-            router = ShardedRouter(
-                spec, n_workers=2, monitor_interval_s=0, binary=binary, pipeline_depth=depth
+    def test_timed_out_metrics_scrape_leaves_shard_healthy(self, spec, reference):
+        """A scrape that outlives the rollup's 2 s deadline reports
+        ``stats: null`` and leaves the worker alone; its late reply is
+        dropped by id, so the predict queued behind it gets its own bits."""
+        with ShardedRouter(spec, n_workers=2, monitor_interval_s=0) as router:
+            wid = router.shard_of("fpga")
+            handle = router._handles[wid]
+            slept = []
+            sleeper = threading.Thread(
+                target=lambda: slept.append(
+                    router._request(handle, {"op": "sleep", "seconds": 4.0}, 30)
+                )
             )
-            with PredictorServer(router, port=0) as srv:
-                with urllib.request.urlopen(f"{srv.url}/metrics", timeout=30) as r:
-                    snap = json.loads(r.read())
-                assert snap["wire_protocol"] == wire
-                assert snap["pipeline_depth"] == depth
+            sleeper.start()
+            time.sleep(0.5)  # the sleep frame reaches the worker first
+            rollup = router.metrics_rollup()
+            entry = rollup["per_worker"][wid]
+            assert entry["stats"] is None
+            assert entry["alive"] is True
+            assert rollup["worker_deaths_total"] == 0
+            # Sent while the worker still sleeps: the late metrics reply
+            # reaches the channel first and must not resolve this waiter.
+            idx = np.arange(11)
+            assert np.array_equal(
+                reference.predict_batch("fpga", idx),
+                router.submit("fpga", idx, timeout=120),
+            )
+            sleeper.join(timeout=30)
+            assert not sleeper.is_alive()
+            assert slept[0]["ok"] is True
+            assert router.workers_alive == 2
+            assert router.deaths_total == 0
+            assert router.metrics_rollup()["per_worker"][wid]["stats"] is not None
+
+    def test_metrics_report_pipeline_depth(self, spec):
+        router = ShardedRouter(spec, n_workers=2, monitor_interval_s=0, pipeline_depth=3)
+        with PredictorServer(router, port=0) as srv:
+            with urllib.request.urlopen(f"{srv.url}/metrics", timeout=30) as r:
+                snap = json.loads(r.read())
+            assert snap["pipeline_depth"] == 3
 
 
 class TestShardedHTTP:

@@ -120,7 +120,7 @@ class TestNamedFailures:
 
     def test_truncated_payload(self, pair):
         a, b = pair
-        frame = encode_frame({"op": "predict", "indices": list(range(50))})
+        frame = encode_frame({"op": "adapt", "indices": list(range(50))})
         a.sendall(frame[:-10])
         a.close()
         with pytest.raises(TruncatedFrameError):
@@ -153,7 +153,7 @@ class TestNamedFailures:
         reader consumes the interloper's bytes as payload (bad JSON), and
         the stream stays permanently desynced (bad magic) — both named."""
         a, b = pair
-        good = encode_frame({"op": "predict", "device": "fpga"})
+        good = encode_frame({"op": "adapt", "device": "fpga"})
         a.sendall(good[: len(good) // 2])
         a.sendall(encode_frame({"op": "ping"}))  # interleaved second frame
         a.sendall(encode_frame({"op": "ping"}))

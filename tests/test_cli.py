@@ -53,18 +53,13 @@ class TestParser:
 
     def test_serve_data_plane_args(self):
         args = build_parser().parse_args(["serve", "--task", "N1"])
-        assert args.wire == "rsf2"  # binary data plane is the default
         assert args.pipeline_depth == 2
         assert args.score_cache is True
         args = build_parser().parse_args(
-            ["serve", "--task", "N1", "--wire", "rsf1", "--pipeline-depth", "1",
-             "--no-score-cache"]
+            ["serve", "--task", "N1", "--pipeline-depth", "1", "--no-score-cache"]
         )
-        assert args.wire == "rsf1"
         assert args.pipeline_depth == 1
         assert args.score_cache is False
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--task", "N1", "--wire", "grpc"])
 
 
 class TestServeValidation:
