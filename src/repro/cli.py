@@ -346,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         type=int,
         default=[32],
-        help="batch sizes to compile plans for (rounded to power-of-two buckets)",
+        help="batch sizes to compile plans for (each rounds up to a power-of-two "
+        "bucket clamped to 4-64 rows; bigger batches replay as 64-row tiles)",
     )
     p.add_argument("--out", default="plans", help="output bundle directory")
     p.add_argument("--samples", type=int, default=20, help="on-device samples for adaptation")

@@ -10,15 +10,18 @@ predictor whose forward is split into two hooks:
   must consume the prepared arrays *by identity* so the tracer can bind
   them as plan inputs.
 
-Plans are specialized per **shape bucket** (powers of two).  An ``n``-row
-batch splits into its binary decomposition of exact power-of-two chunks
-(``100 -> 64 + 32 + 4``), so almost no padded rows are ever computed — a
-naive round-up-to-bucket would nearly double the work just above a power
-of two and hand the win back to the eager path.  Only a sub-``_MIN_CHUNK``
-tail is edge-padded (every per-architecture computation in these models is
+Plans are specialized per **shape bucket**: the powers of two from
+``_MIN_BUCKET`` (4) to ``_MAX_BUCKET`` (64).  An ``n``-row batch replays as
+full 64-row tiles followed by the binary decomposition of the remainder
+into exact power-of-two chunks (``100 -> 64 + 32 + 4``, ``1024 -> 16 ×
+64``), so almost no padded rows are ever computed — a naive
+round-up-to-bucket would nearly double the work just above a power of two
+and hand the win back to the eager path.  Only a sub-``_MIN_CHUNK`` tail is
+edge-padded (every per-architecture computation in these models is
 row-independent, so padding rows never perturb real rows; the pad is
-sliced off).  Buckets keep the number of plans per predictor logarithmic
-in the batch-size range while serving arbitrary batch lengths.
+sliced off).  A predictor therefore holds at most five plans whatever the
+batch size, and a big batch runs as tiles whose activations stay
+cache-resident instead of streaming every op's output through memory.
 
 Plans read parameters live (see :class:`~repro.nnlib.trace.CompiledPlan`),
 so fine-tuning after compilation is honored; they are memoized per
@@ -51,6 +54,19 @@ _MIN_CHUNK = 8  # below this, padding one small plan beats extra replays
 #: equivalence with cache-off serving.
 _MIN_BUCKET = 4
 
+#: Largest bucket, and the tile a bigger batch replays in.  At 64 rows one
+#: NB201 activation is 0.5 MB and a plan's pooled buffers 3.7 MB, close to
+#: cache-resident; a 1,024-row plan streams 59 MB of buffers through memory
+#: and replays the same rows ~25% slower (per space and dtype in
+#: docs/ARCHITECTURE.md).
+_MAX_BUCKET = 64
+
+#: Every bucket a plan is ever built or installed for: the powers of two
+#: from ``_MIN_BUCKET`` to ``_MAX_BUCKET``.
+_SERVED_BUCKETS = tuple(
+    1 << k for k in range(_MIN_BUCKET.bit_length() - 1, _MAX_BUCKET.bit_length())
+)
+
 
 class PlanDtypeMismatchError(RuntimeError):
     """A plan or bundle compiled at one dtype was offered to a consumer
@@ -59,30 +75,32 @@ class PlanDtypeMismatchError(RuntimeError):
 
 
 def bucket_for(n: int) -> int:
-    """Smallest power of two >= ``n`` (the plan-cache shape bucket)."""
+    """The plan-cache shape bucket for an ``n``-row batch: the smallest
+    power of two >= ``n``, clamped to ``[_MIN_BUCKET, _MAX_BUCKET]`` (a
+    bigger batch replays as ``_MAX_BUCKET``-row tiles)."""
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
-    return 1 << (n - 1).bit_length()
+    return min(_MAX_BUCKET, max(_MIN_BUCKET, 1 << (n - 1).bit_length()))
 
 
 def plan_buckets(n: int) -> list[int]:
     """Plan buckets covering an ``n``-row batch, largest chunk first.
 
-    The binary decomposition of ``n`` down to ``_MIN_CHUNK``; a smaller
-    remainder becomes one padded bucket, never below ``_MIN_BUCKET`` (see
-    its note on row-value composition stability).  ``sum(min(b,
-    remaining))`` over the result always covers exactly ``n`` rows.
+    Full ``_MAX_BUCKET``-row tiles, then the binary decomposition of the
+    remainder down to ``_MIN_CHUNK``; a smaller remainder becomes one
+    padded :func:`bucket_for` bucket.  ``sum(min(b, remaining))`` over the
+    result always covers exactly ``n`` rows.
     """
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
-    buckets = []
-    remaining = n
+    buckets = [_MAX_BUCKET] * (n // _MAX_BUCKET)
+    remaining = n % _MAX_BUCKET
     while remaining >= _MIN_CHUNK:
         size = 1 << (remaining.bit_length() - 1)  # largest power of two <= remaining
         buckets.append(size)
         remaining -= size
     if remaining:
-        buckets.append(max(_MIN_BUCKET, bucket_for(remaining)))
+        buckets.append(bucket_for(remaining))
     return buckets
 
 
@@ -125,7 +143,8 @@ class CompiledInference:
         """Build (and memoize) the replay plan for ``batch_size``'s bucket.
 
         Tracing runs one eager forward on a dummy batch in eval mode; the
-        returned plan serves every batch whose bucket matches.
+        returned plan serves every batch whose bucket matches.  A batch
+        above ``_MAX_BUCKET`` rows gets the tile plan its replay loops over.
         """
         bucket = bucket_for(batch_size)
         plans = self.__dict__.setdefault("_plans", {})
@@ -179,7 +198,7 @@ class CompiledInference:
         self.__dict__.pop("_trainers", None)
 
     def _replay_batch(self, raw_args: tuple) -> np.ndarray:
-        """Score an ``n``-row batch through its power-of-two plan chunks."""
+        """Score an ``n``-row batch through its :func:`plan_buckets` chunks."""
         n = len(raw_args[0])
         outs = []
         start = 0
@@ -210,8 +229,15 @@ class CompiledInference:
         wrong device count) is rejected up front instead of failing deep
         inside a replay — and at this predictor's :attr:`plan_dtype`
         (:class:`PlanDtypeMismatchError` otherwise: one predictor never
-        serves mixed precisions).
+        serves mixed precisions).  ``bucket`` must be one replay serves
+        (``ValueError`` otherwise), so a stale artifact for a bucket outside
+        that set fails at load instead of sitting unused.
         """
+        if bucket not in _SERVED_BUCKETS:
+            raise ValueError(
+                f"bucket {bucket} is not a served plan bucket {list(_SERVED_BUCKETS)}; "
+                "re-compile the artifact"
+            )
         if plan.dtype != self.plan_dtype:
             raise PlanDtypeMismatchError(
                 f"plan was compiled at dtype {plan.dtype!r} but this predictor "

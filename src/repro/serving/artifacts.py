@@ -45,8 +45,10 @@ def write_bundle(
     """Adapt each device and emit its checkpoint + per-bucket plan artifacts.
 
     Returns the manifest dict (also written to ``out_dir/manifest.json``).
-    ``buckets`` are requested batch sizes; each is rounded to its plan
-    bucket and deduplicated, so requesting 30 and 32 emits one artifact.
+    ``buckets`` are requested batch sizes; each maps to the plan bucket
+    that serves it (:func:`~repro.predictors.compiled.bucket_for`: the next
+    power of two, clamped to 4-64 rows) and duplicates collapse, so
+    requesting 30 and 32 emits one artifact, and 256 the 64-row tile plan.
     """
     from repro.predictors.compiled import bucket_for
 

@@ -657,9 +657,10 @@ class PredictorSession:
     def _forward(self, device: str, predictor: NASFLATPredictor, idx: np.ndarray) -> np.ndarray:
         """One vectorized forward over ``idx`` (caller holds the lock).
 
-        A compiled forward replays ``idx``'s power-of-two chunk buckets; a
-        bucket without a plan on ``predictor`` traces it once (an eager
-        forward on a dummy batch)."""
+        A compiled forward replays ``idx``'s :func:`plan_buckets` chunks
+        (64-row tiles, then power-of-two chunks of the rest); a bucket
+        without a plan on ``predictor`` traces it once (an eager forward on
+        a dummy batch)."""
         n = len(idx)
         if not self.use_compiled:
             return predictor.predict(device, idx, batch_size=n)

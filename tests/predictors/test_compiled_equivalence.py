@@ -3,8 +3,9 @@
 For every registered space and each predictor that gained ``compile()``
 (NASFLAT, BRP-NAS, MultiPredict), ``CompiledPlan`` replay must match the
 eager forward within 1e-6 on randomized batches — including odd batch
-sizes that exercise bucket padding, after ``adapt()`` (plan invalidation
-correctness), and under concurrent session use.
+sizes that exercise bucket padding, a batch above the 64-row tile, after
+``adapt()`` (plan invalidation correctness), and under concurrent session
+use.
 """
 import threading
 
@@ -25,7 +26,8 @@ ATOL = 1e-6
 # Every space in the registry (nasbench201 is the paper's main table; the
 # fbnet/nb101 tables exercise different node counts and op vocabularies).
 SPACES = ["nasbench201", "nasbench101", "fbnet"]
-BATCHES = [1, 5, 16, 33]  # off-bucket sizes exercise the padding path
+# Off-bucket sizes exercise the padding path; 200 = 3 x 64 + 8 the tiling.
+BATCHES = [1, 5, 16, 33, 200]
 
 
 def _batch(space, rng, n):
@@ -36,7 +38,10 @@ def _batch(space, rng, n):
 
 class TestBucketing:
     def test_bucket_for_powers_of_two(self):
-        assert [bucket_for(n) for n in (1, 2, 3, 8, 9, 33, 256)] == [1, 2, 4, 8, 16, 64, 256]
+        # Clamped to the buckets replay serves: 1-3 rows floor at 4 (what
+        # plan_buckets pads them to) and anything above 64 is the tile.
+        sizes = (1, 2, 3, 4, 5, 8, 9, 33, 64, 65, 256, 4096)
+        assert [bucket_for(n) for n in sizes] == [4, 4, 4, 4, 8, 8, 16, 64, 64, 64, 64, 64]
         with pytest.raises(ValueError):
             bucket_for(0)
 
@@ -51,6 +56,13 @@ class TestBucketing:
         assert plan_buckets(1) == [4]
         assert plan_buckets(2) == [4]
         assert plan_buckets(3) == [4]
+
+    def test_plan_buckets_tile_at_64_rows(self):
+        # Full 64-row tiles first, then the remainder's decomposition.
+        assert plan_buckets(128) == [64, 64]
+        assert plan_buckets(1024) == [64] * 16
+        assert plan_buckets(1000) == [64] * 15 + [32, 8]
+        assert plan_buckets(265) == [64] * 4 + [8, 4]
 
     def test_row_bits_independent_of_batch_composition(self):
         """The invariant the serving score cache rests on: a row's compiled
@@ -69,8 +81,23 @@ class TestBucketing:
             sub = predictor.compiled_predict(sadj, sops, "pixel3", batch_size=64)
             np.testing.assert_array_equal(sub, full[sel], err_msg=f"sel={sel}")
 
+    def test_tiled_batch_bitwise_equals_64_row_batches(self):
+        """A 1,024-row batch replays as sixteen 64-row tiles: its bits are
+        exactly those of the same rows predicted 64 at a time."""
+        space = get_space("nasbench201")
+        rng = np.random.default_rng(29)
+        predictor = NASFLATPredictor(space, ["pixel3", "pixel2"], rng)
+        adj, ops = _batch(space, rng, 1024)
+        whole = predictor.compiled_predict(adj, ops, "pixel3", batch_size=1024)
+        tiles = [
+            predictor.compiled_predict(adj[i : i + 64], ops[i : i + 64], "pixel3")
+            for i in range(0, 1024, 64)
+        ]
+        np.testing.assert_array_equal(whole, np.concatenate(tiles))
+        assert predictor.compiled_buckets() == [64]
+
     def test_plan_buckets_cover_every_row(self):
-        for n in (1, 7, 8, 33, 100, 1000):
+        for n in (1, 7, 8, 33, 100, 1000, 4096):
             covered = 0
             for bucket in plan_buckets(n):
                 covered += min(bucket, n - covered)
@@ -85,18 +112,23 @@ class TestEverySpace:
         predictor = NASFLATPredictor(space, ["pixel3", "pixel2"], rng)
         for n in BATCHES:
             adj, ops = _batch(space, rng, n)
-            eager = predictor.predict(adj, ops, "pixel3", batch_size=64)
-            compiled = predictor.compiled_predict(adj, ops, "pixel3", batch_size=64)
+            eager = predictor.predict(adj, ops, "pixel3")
+            compiled = predictor.compiled_predict(adj, ops, "pixel3")
             np.testing.assert_allclose(compiled, eager, atol=ATOL, rtol=0, err_msg=f"B={n}")
 
     def test_brpnas_replay_matches_eager(self, space_name):
         space = get_space(space_name)
         rng = np.random.default_rng(12)
         predictor = BRPNASPredictor(space, rng, gnn_dims=(64, 64))
-        idx = rng.choice(space.num_architectures(), size=21, replace=False)
-        np.testing.assert_allclose(
-            predictor.compiled_predict(idx), predictor.predict(idx), atol=ATOL, rtol=0
-        )
+        for n in (21, 200):
+            idx = rng.choice(space.num_architectures(), size=n, replace=False)
+            np.testing.assert_allclose(
+                predictor.compiled_predict(idx),
+                predictor.predict(idx),
+                atol=ATOL,
+                rtol=0,
+                err_msg=f"B={n}",
+            )
 
 
 class TestMultiPredict:

@@ -20,7 +20,7 @@ import pytest
 
 from repro.nnlib import mse_loss, trace_training_step
 from repro.nnlib.ir import PlanIRError, load_plan
-from repro.nnlib.trace import notify_param_mutation
+from repro.nnlib.trace import notify_param_mutation, trace
 from repro.predictors.nasflat import NASFLATPredictor
 from repro.predictors.space_tensors import SpaceTensors
 from repro.spaces.registry import get_space
@@ -109,6 +109,24 @@ class TestEverySpaceEveryBucket:
         assert all(
             (a is None and b is None) or np.array_equal(a, b) for a, b in zip(g0, g1)
         )
+
+
+class TestServedBuckets:
+    @pytest.mark.parametrize("bucket", [1, 2, 128])
+    def test_unserved_bucket_rejected(self, bucket, tmp_path):
+        """Replay only ever reads 4- to 64-row plans, so a plan for any other
+        bucket is refused on install (and so at load) rather than kept as
+        a dead cache entry."""
+        predictor = _predictor(get_space("nasbench201"))
+        inputs = predictor._plan_inputs(*predictor._example_batch(bucket))
+        plan = trace(predictor._forward_core, inputs, module=predictor)
+        with pytest.raises(ValueError, match=r"\[4, 8, 16, 32, 64\]"):
+            predictor.install_plan(bucket, plan)
+        path = tmp_path / f"stale_b{bucket}.npz"
+        plan.save(path, metadata={"bucket": bucket})
+        with pytest.raises(ValueError, match="not a served plan bucket"):
+            predictor.load_plan(path)
+        assert predictor.compiled_buckets() == []
 
 
 class TestAddDeviceGrowth:

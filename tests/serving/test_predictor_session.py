@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.predictors.compiled import _SERVED_BUCKETS
 from repro.predictors.training import FinetuneConfig, PretrainConfig
 from repro.serving import PredictorSession
 from repro.tasks import Task
@@ -156,6 +157,17 @@ class TestNoGradServing:
         assert grad_tensors == []
 
 
+@pytest.fixture(scope="module")
+def big_task():
+    """A space big enough for one request at the server's 4,096-index cap."""
+    from repro.spaces import GenericCellSpace
+    from repro.spaces.registry import _INSTANCES
+
+    sp = GenericCellSpace("nb101", table_size=4096)
+    _INSTANCES[sp.name] = sp
+    return Task("T-big", sp.name, train_devices=("pixel3", "pixel2"), test_devices=("fpga",))
+
+
 class TestPlanCache:
     def test_one_compile_per_device_and_bucket(self, mini_task, cfg):
         # Score-cache off: plan traffic must be driven by batch shapes, not
@@ -169,6 +181,19 @@ class TestPlanCache:
         s.predict_batch("eyeriss", np.arange(8))  # other device -> compile
         assert (s.stats.plan_compiles, s.stats.plan_hits) == (3, 3)
         assert s.plan_cache_entries == {"fpga": 2, "eyeriss": 1}
+
+    def test_big_request_keeps_plan_memory_bounded(self, big_task, cfg):
+        """A 4,096-index request replays as 64-row tiles: the device holds
+        at most one plan per served bucket, never a 2,048-row one."""
+        s = PredictorSession(big_task, cfg, seed=12).pretrain()
+        s.predict_batch("fpga", np.arange(8))
+        s.predict_batch("fpga", np.arange(4096))  # 4,088 misses
+        assert s.plan_cache_entries["fpga"] <= len(_SERVED_BUCKETS)
+        held = s.plan_buffer_bytes
+        predictor = s.adapt("fpga")
+        for bucket in _SERVED_BUCKETS:
+            predictor.compile(bucket)
+        assert held <= s.plan_buffer_bytes  # one full set of 4-64-row plans
 
     def test_eviction_drops_device_plans(self, mini_task, cfg):
         s = PredictorSession(mini_task, cfg, seed=8, max_hot_devices=1).pretrain()

@@ -95,6 +95,14 @@ class TestBundle:
         buckets = [p["bucket"] for p in manifest["devices"][0]["plans"]]
         assert buckets == [4, 32]  # 30 and 32 collapse; 3 rounds to 4
 
+    def test_buckets_clamped_to_served_range(self, bundle, tmp_path):
+        session, _, _, _ = bundle
+        manifest = write_bundle(session, tmp_path / "p3", ["fpga"], [1, 2, 256])
+        buckets = [p["bucket"] for p in manifest["devices"][0]["plans"]]
+        assert buckets == [4, 64]  # 1 and 2 pad to 4; 256 replays as 64-row tiles
+        written = sorted(p.name for p in (tmp_path / "p3").glob("plan__*.npz"))
+        assert written == ["plan__fpga__b4.npz", "plan__fpga__b64.npz"]
+
 
 class TestWarmSession:
     def test_zero_cold_start_and_bitwise(self, bundle, mini_task, cfg):
@@ -114,6 +122,18 @@ class TestWarmSession:
         assert warm.stats.plan_compiles == 0
         assert warm.stats.plan_hits == 1
         assert np.array_equal(ref, out)
+
+    def test_one_row_bundle_serves_one_row_request(self, bundle, mini_task, cfg, tmp_path):
+        # A bundle compiled "for 1 row" holds the 4-row plan a 1-row
+        # request actually replays, so serving it traces nothing.
+        session, ckpt, _, _ = bundle
+        write_bundle(session, tmp_path / "b1", ["fpga"], [1])
+        warm = PredictorSession.from_checkpoint(
+            ckpt, task=mini_task, config=cfg, warmup_artifacts=tmp_path / "b1"
+        )
+        out = warm.predict_batch("fpga", [7])
+        assert warm.stats.plan_compiles == 0
+        assert np.array_equal(out, session.predict_batch("fpga", [7]))
 
     def test_load_warmup_after_construction(self, bundle, mini_task, cfg):
         _, ckpt, plans_dir, _ = bundle
